@@ -27,14 +27,7 @@ from .errors import (
 )
 from .expressions import eval_expr, parse_expr
 from .grids import GridFn, uniform_grid
-from .inequalities import (
-    Family,
-    InequalityCase,
-    SweepCell,
-    evaluate_sides,
-    sweep,
-    validate_case,
-)
+from .inequalities import Family, InequalityCase, sweep, validate_case
 from .operators import (
     caputo_derivative,
     hadamard_derivative,
@@ -167,12 +160,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_corpus(text: str, grid) -> CorpusSpec:
     kind, _, rest = text.partition(":")
     if kind == "powers":
-        return CorpusSpec.powers(grid, [float(v) for v in rest.split(",") if v])
+        try:
+            mus = [float(v) for v in rest.split(",") if v]
+        except ValueError:
+            raise ParamError(f"powers corpus needs comma-separated numbers (got {rest!r})")
+        if not mus:
+            raise ParamError("powers corpus needs at least one exponent")
+        return CorpusSpec.powers(grid, mus)
     if kind == "poly":
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ParamError(f"poly corpus needs DEG,COUNT,SEED (got {rest!r})")
-        return CorpusSpec.polynomials(grid, int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            degree, count, seed = (int(v) for v in rest.split(","))
+        except ValueError:
+            raise ParamError(f"poly corpus needs integers DEG,COUNT,SEED (got {rest!r})")
+        if degree < 0 or count < 1 or seed < 0:
+            raise ParamError(f"poly corpus needs DEG >= 0, COUNT >= 1 and SEED >= 0 "
+                             f"(got {rest!r})")
+        return CorpusSpec.polynomials(grid, degree, count, seed)
     if kind == "expr":
         texts = [part for part in rest.split(";") if part.strip()]
         if not texts:
@@ -207,18 +210,7 @@ def _cmd_verify(args, command: str, stamp: str | None) -> int:
     corpus = generate(_parse_corpus(args.corpus, grid))
     if args.out != "json":
         raise ParamError("verify reports are JSON (use --out json)")
-    if args.tol is not None:
-        cells = []
-        for case in cases:
-            for u in corpus:
-                try:
-                    cells.append(SweepCell(case, u.name,
-                                           evaluate_sides(case, u, disc_tol=args.tol)))
-                except FracineqError as exc:
-                    cells.append(SweepCell(case, u.name, None,
-                                           error=f"{type(exc).__name__}: {exc}"))
-    else:
-        cells = sweep(Family(args.family), cases, corpus)
+    cells = sweep(Family(args.family), cases, corpus, disc_tol=args.tol)
     print(emit_payload_json(sweep_rows(cells), command, stamp))
     all_ok = all(c.certificate is not None and c.certificate.passed for c in cells)
     return 0 if all_ok else 1

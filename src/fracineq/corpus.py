@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParamError
 from .expressions import eval_expr, parse_expr
 from .grids import Grid, GridFn
 from .inequalities import Certificate, InequalityCase, evaluate_sides, validate_case
@@ -118,6 +118,8 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     best ratio monotone in the budget for a fixed seed.
     """
     case = validate_case(case)
+    if degree < 0:
+        raise ParamError(f"sharpness search needs degree >= 0 (got {degree})")
     grid = Grid(case.a, case.b, grid_n)
     rng = np.random.default_rng(seed)
 

@@ -1,4 +1,4 @@
-"""Closed-form constants, case validation, and certificates.
+"""Inequality families: case validation, closed-form constants, certificates.
 
 Each inequality family bounds a left-hand norm by an explicit constant times
 a product of right-hand norms.  ``evaluate_sides`` computes both sides for a
@@ -10,33 +10,27 @@ pass rule is
 where disc_tol is a Richardson-style discretization-error proxy: 1e-6 plus
 the change of the ratio between the evaluation grid and one coarser grid.
 
-Families without a fully explicit constant of their own get the composed
-constant of the underlying chain of inequalities:
-
-* Gagliardo-Nirenberg variants chain a Hoelder interpolation step with the
-  L^q Poincare-Sobolev bound taken at exponent q on both sides, so the
-  constant is that bound's constant raised to the interpolation weight s.
-* CKN variants chain a Hoelder step with the weighted Hardy bound at weight
-  power -d, so the constant is the weighted-Hardy constant to the power
-  delta (delta = 0 degenerates to an identity, constant 1).
-* Uncertainty principles chain Cauchy-Schwarz with the Hardy bound and
-  inherit the Hardy constant.
+The 17 families are driven by a private registry with one record per
+family: the fields it uses, its hypothesis check, and its shape, the
+constant and the sides of one chain of inequalities.  Eight shapes cover
+every family.  A Hadamard record is its standard twin with the Hadamard
+derivative, which lives on the companion grid sigma = log(t/a), and with
+span = log(b/a) in place of b - a in the constant.  A sequential record
+applies its shape to the inner derivative v = D^inner u, which must then
+vanish at a.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    FracineqError,
-    HypothesisError,
-    NumericError,
-    ParamError,
-)
-from .grids import Grid, GridFn, NormKind, lp_trapezoid, norm, uniform_grid
+from .errors import FracineqError, HypothesisError, NumericError, ParamError
+from .grids import GridFn, NormKind, lp_trapezoid, norm, uniform_grid
 from .operators import caputo_derivative, hadamard_derivative
 from .special import conjugate, gamma_fn, holder_denominator
 
@@ -108,97 +102,33 @@ class InequalityCase:
     theta: float | None = None
 
 
-_GN_FAMILIES = (
-    Family.GAGLIARDO_NIRENBERG,
-    Family.SEQ_GAGLIARDO_NIRENBERG,
-    Family.HAD_GAGLIARDO_NIRENBERG,
-)
-_CKN_FAMILIES = (Family.CKN, Family.HAD_CKN)
-
-#: required case fields per family (beyond family/a/b/alpha);
-#: fields not listed here (and not derivable) must be absent.
-_REQUIRED: dict[Family, tuple[str, ...]] = {
-    Family.POINCARE_SOBOLEV: ("p",),
-    Family.POINCARE_SOBOLEV_LQ: ("p", "theta"),
-    Family.SOBOLEV_BETA: ("beta", "p"),
-    Family.HARDY: ("p",),
-    Family.WEIGHTED_HARDY: ("p", "gamma"),
-    Family.GAGLIARDO_NIRENBERG: ("p", "q", "s"),
-    Family.CKN: ("p", "q", "delta", "d", "e"),
-    Family.SEQ_POINCARE_SOBOLEV: ("beta", "p"),
-    Family.SEQ_HARDY: ("beta", "p"),
-    Family.SEQ_GAGLIARDO_NIRENBERG: ("beta", "p", "q", "s"),
-    Family.HAD_POINCARE_SOBOLEV: ("p",),
-    Family.HAD_HARDY: ("p",),
-    Family.HAD_WEIGHTED_HARDY: ("p", "gamma"),
-    Family.HAD_GAGLIARDO_NIRENBERG: ("p", "q", "s"),
-    Family.HAD_CKN: ("p", "q", "delta", "d", "e"),
-    Family.UNCERTAINTY: ("p",),
-    Family.HAD_UNCERTAINTY: ("p",),
-}
-
-#: optional fields that are derived from the required ones when absent
-_DERIVABLE: dict[Family, tuple[str, ...]] = {
-    Family.GAGLIARDO_NIRENBERG: ("gamma",),
-    Family.SEQ_GAGLIARDO_NIRENBERG: ("gamma",),
-    Family.HAD_GAGLIARDO_NIRENBERG: ("gamma",),
-    Family.CKN: ("r", "c"),
-    Family.HAD_CKN: ("r", "c"),
-}
-
-#: families whose interval must satisfy a > 0 (Hardy-type weights or
-#: Hadamard kernels appear on one of the sides)
-_NEEDS_POSITIVE_A = (
-    Family.HARDY,
-    Family.WEIGHTED_HARDY,
-    Family.CKN,
-    Family.SEQ_HARDY,
-    Family.UNCERTAINTY,
-    Family.HAD_POINCARE_SOBOLEV,
-    Family.HAD_HARDY,
-    Family.HAD_WEIGHTED_HARDY,
-    Family.HAD_GAGLIARDO_NIRENBERG,
-    Family.HAD_CKN,
-    Family.HAD_UNCERTAINTY,
-)
-
-
 def _fail(family: Family, clause: str) -> ParamError:
     return ParamError(f"{family.value}: requires {clause}")
 
 
-def _check_fields(case: InequalityCase) -> None:
-    required = _REQUIRED[case.family]
-    derivable = _DERIVABLE.get(case.family, ())
-    for name in required:
-        if getattr(case, name) is None:
-            raise _fail(case.family, f"field {name!r}")
-    for f in fields(case):
-        if f.name in ("family", "a", "b", "alpha"):
-            continue
-        if f.name in required or f.name in derivable:
-            continue
-        if getattr(case, f.name) is not None:
-            raise ParamError(
-                f"{case.family.value}: field {f.name!r} is not used by this family"
-            )
-
-
-def _check_basic_window(case: InequalityCase) -> None:
-    fam = case.family
-    if not case.a < case.b:
-        raise _fail(fam, f"a < b (got a={case.a}, b={case.b})")
-    if fam in _NEEDS_POSITIVE_A and not case.a > 0.0:
-        raise _fail(fam, f"a > 0 (got a={case.a})")
-
-
-def _check_sup_family(case: InequalityCase) -> None:
-    # shared hypothesis of the plain Poincare-Sobolev / Hardy block
+def _check_sup_family(case: InequalityCase) -> InequalityCase:
+    # shared hypothesis of the plain Poincare-Sobolev / Hardy block, with the
+    # L^theta exponent of poincare-sobolev-lq
     fam = case.family
     if not case.p > 1.0:
         raise _fail(fam, f"p > 1 (got p={case.p})")
     if not 1.0 / case.p < case.alpha <= 1.0:
         raise _fail(fam, f"alpha in (1/p, 1] (got alpha={case.alpha}, p={case.p})")
+    if case.theta is not None and not case.theta > 1.0:
+        raise _fail(fam, f"theta > 1 (got theta={case.theta})")
+    return case
+
+
+def _check_sobolev_beta(case: InequalityCase) -> InequalityCase:
+    fam = case.family
+    if not case.p > 1.0:
+        raise _fail(fam, f"p > 1 (got p={case.p})")
+    if not 0.0 <= case.beta < 1.0:
+        raise _fail(fam, f"beta in [0, 1) (got beta={case.beta})")
+    if not case.beta + 1.0 / case.p < case.alpha <= 1.0:
+        raise _fail(fam, f"alpha in (beta + 1/p, 1] (got alpha={case.alpha}, "
+                         f"beta={case.beta}, p={case.p})")
+    return case
 
 
 def _check_gn(case: InequalityCase) -> InequalityCase:
@@ -266,7 +196,7 @@ def _check_ckn(case: InequalityCase) -> InequalityCase:
     return case
 
 
-def _check_sequential(case: InequalityCase) -> None:
+def _check_sequential(case: InequalityCase) -> InequalityCase:
     fam = case.family
     if not case.p > 1.0:
         raise _fail(fam, f"p > 1 (got p={case.p})")
@@ -280,6 +210,173 @@ def _check_sequential(case: InequalityCase) -> None:
         # kernel-moment positivity; the alpha window above does not imply it
         # for p < 2
         raise _fail(fam, f"alpha > 1/p (got alpha={case.alpha}, p={case.p})")
+    return case
+
+
+def _kernel(order: float, p: float) -> float:
+    # Hoelder kernel-integral constant times Gamma(order)
+    return holder_denominator(order, p) * gamma_fn(order)
+
+
+def _constant_sup(case: InequalityCase, order: float, span: float) -> float:
+    return span ** (order - 1.0 / case.p) / _kernel(order, case.p)
+
+
+def _constant_lq(case: InequalityCase, order: float, span: float) -> float:
+    return _constant_sup(case, order, span) * (case.b - case.a) ** (1.0 / case.theta)
+
+
+def _constant_beta(case: InequalityCase, order: float, span: float) -> float:
+    q = conjugate(case.p)
+    denom = (order * q - case.beta * q - q + 1.0) ** (1.0 / q)
+    return span ** (order - case.beta - 1.0 / case.p) / (denom * gamma_fn(order - case.beta))
+
+
+def _chain(case: InequalityCase, order: float, span: float, p: float) -> float:
+    # the Hardy-type chain: (b-a)^(1/p) span^(order - 1/p) over the kernel
+    return (case.b - case.a) ** (1.0 / p) * span ** (order - 1.0 / p) / _kernel(order, p)
+
+
+def _constant_hardy(case: InequalityCase, order: float, span: float) -> float:
+    return _chain(case, order, span, case.p) / case.a
+
+
+def _constant_weighted_hardy(case: InequalityCase, order: float, span: float) -> float:
+    g = abs(case.gamma)
+    return case.a ** (-g - 1.0) * case.b**g * _chain(case, order, span, case.p)
+
+
+def _constant_gn(case: InequalityCase, order: float, span: float) -> float:
+    # the L^q bound with exponent q on both sides, to the power s
+    return _chain(case, order, span, case.q) ** case.s
+
+
+def _constant_ckn(case: InequalityCase, order: float, span: float) -> float:
+    if case.delta == 0.0:
+        return 1.0
+    # the weighted Hardy bound at weight power -d, to the power delta
+    return _constant_weighted_hardy(replace(case, gamma=-case.d), order, span) ** case.delta
+
+
+def _sides_sup(spec, case, v):
+    return norm(v, NormKind.sup()), spec.dnorm(case, v, case.p)
+
+
+def _sides_lq(spec, case, v):
+    return norm(v, NormKind.lp(case.theta)), spec.dnorm(case, v, case.p)
+
+
+def _sides_beta(spec, case, v):
+    # order beta = 0 is the zeroth derivative of the representation, u - u(a)
+    low = (GridFn(v.grid, v.samples - v.samples[0], name=v.name) if case.beta == 0.0
+           else caputo_derivative(v, case.beta))
+    return norm(low, NormKind.sup()), spec.dnorm(case, v, case.p)
+
+
+def _sides_hardy(spec, case, v):
+    return norm(v, NormKind.weighted_lp(case.p, -1.0)), spec.dnorm(case, v, case.p)
+
+
+def _sides_weighted_hardy(spec, case, v):
+    return (norm(v, NormKind.weighted_lp(case.p, -(case.gamma + 1.0))),
+            spec.dnorm(case, v, case.p, -case.gamma))
+
+
+def _sides_gn(spec, case, v):
+    return (norm(v, NormKind.lp(case.gamma)),
+            spec.dnorm(case, v, case.q) ** case.s
+            * norm(v, NormKind.lp(case.p)) ** (1.0 - case.s))
+
+
+def _sides_ckn(spec, case, v):
+    return (norm(v, NormKind.weighted_lp(case.r, case.c)),
+            spec.dnorm(case, v, case.p, case.d) ** case.delta
+            * norm(v, NormKind.weighted_lp(case.q, case.e)) ** (1.0 - case.delta))
+
+
+def _sides_uncertainty(spec, case, v):
+    return (norm(v, NormKind.lp(2.0)) ** 2,
+            spec.dnorm(case, v, case.p)
+            * norm(v, NormKind.weighted_lp(conjugate(case.p), 1.0)))
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """Registry record of one family; ``constant`` and ``sides`` are its shape."""
+
+    fields: tuple[str, ...]  # required beyond family/a/b/alpha
+    check: Callable[[InequalityCase], InequalityCase]  # fills in derived exponents
+    constant: Callable[[InequalityCase, float, float], float]  # (case, order, span)
+    sides: Callable[..., tuple[float, float]]  # (record, case, v) -> (lhs, rhs product)
+    weighted: bool = False  # a side carries a power weight of x, so a > 0
+    derivable: tuple[str, ...] = ()  # optional, derived by the check when absent
+    vanishing: bool = True  # the boundary hypothesis v(a) = 0 applies
+    hadamard: bool = False
+    inner: str | None = None  # field holding the order of a sequential inner derivative
+    order: str = "alpha"  # field holding the order of the derivative on the right
+
+    def operand(self, case: InequalityCase, u: GridFn) -> GridFn:
+        return u if self.inner is None else caputo_derivative(u, getattr(case, self.inner))
+
+    def dnorm(self, case: InequalityCase, v: GridFn, p: float, power: float = 0.0) -> float:
+        # L^p norm of the derivative of v against the weight x^(power*p), with
+        # x the physical variable: the node on the t-grid, a e^sigma on the
+        # companion grid (where the plain norm is the dx/x norm)
+        order = getattr(case, self.order)
+        dv = (hadamard_derivative(v, order, allow_order_one=True) if self.hadamard
+              else caputo_derivative(v, order))
+        if power == 0.0:
+            return norm(dv, NormKind.lp(p))
+        x = case.a * np.exp(dv.grid.nodes) if self.hadamard else dv.grid.nodes
+        return lp_trapezoid(dv.samples, dv.grid.h, p, weights=x ** (power * p))
+
+
+_PS = _Spec(("p",), _check_sup_family, _constant_sup, _sides_sup)
+_HARDY = _Spec(("p",), _check_sup_family, _constant_hardy, _sides_hardy, weighted=True)
+_GN = _Spec(("p", "q", "s"), _check_gn, _constant_gn, _sides_gn, derivable=("gamma",))
+
+_STANDARD = {
+    Family.POINCARE_SOBOLEV: _PS,
+    Family.POINCARE_SOBOLEV_LQ: _Spec(("p", "theta"), _check_sup_family, _constant_lq,
+                                      _sides_lq),
+    Family.SOBOLEV_BETA: _Spec(("beta", "p"), _check_sobolev_beta, _constant_beta,
+                               _sides_beta, vanishing=False),
+    Family.HARDY: _HARDY,
+    Family.WEIGHTED_HARDY: _Spec(("p", "gamma"), _check_sup_family,
+                                 _constant_weighted_hardy, _sides_weighted_hardy,
+                                 weighted=True),
+    Family.GAGLIARDO_NIRENBERG: _GN,
+    Family.CKN: _Spec(("p", "q", "delta", "d", "e"), _check_ckn, _constant_ckn, _sides_ckn,
+                      weighted=True, derivable=("r", "c")),
+    Family.SEQ_POINCARE_SOBOLEV: replace(_PS, fields=("beta", "p"), check=_check_sequential,
+                                         inner="beta"),
+    Family.SEQ_HARDY: replace(_HARDY, fields=("beta", "p"), check=_check_sequential,
+                              inner="beta"),
+    Family.SEQ_GAGLIARDO_NIRENBERG: replace(_GN, fields=("beta", "p", "q", "s"),
+                                            inner="alpha", order="beta"),
+    # Cauchy-Schwarz with the Hardy bound, so the Hardy constant
+    Family.UNCERTAINTY: replace(_HARDY, sides=_sides_uncertainty),
+}
+
+#: each Hadamard family is its standard twin with the Hadamard derivative
+_SPECS = {**_STANDARD, **{
+    fam: replace(_STANDARD[Family(fam.value.removeprefix("hadamard-"))], hadamard=True)
+    for fam in Family if fam.value.startswith("hadamard-")}}
+
+
+def _check_fields(case: InequalityCase, spec: _Spec) -> None:
+    fam = case.family
+    used = spec.fields + ("a", "b", "alpha")
+    given = {f.name: getattr(case, f.name) for f in fields(case)
+             if f.name != "family" and getattr(case, f.name) is not None}
+    for name in used:
+        if name not in given:
+            raise _fail(fam, f"field {name!r}")
+    for name, value in given.items():
+        if name not in used and name not in spec.derivable:
+            raise ParamError(f"{fam.value}: field {name!r} is not used by this family")
+        if not math.isfinite(value):
+            raise _fail(fam, f"a finite {name} (got {value})")
 
 
 def validate_case(case: InequalityCase) -> InequalityCase:
@@ -289,126 +386,30 @@ def validate_case(case: InequalityCase) -> InequalityCase:
     violated clause.
     """
     fam = case.family
-    if fam not in _REQUIRED:
+    spec = _SPECS.get(fam)
+    if spec is None:
         raise ParamError(f"unknown family {fam!r}")
-    _check_fields(case)
-    _check_basic_window(case)
-
-    if fam in (Family.POINCARE_SOBOLEV, Family.HARDY, Family.WEIGHTED_HARDY,
-               Family.UNCERTAINTY, Family.HAD_POINCARE_SOBOLEV, Family.HAD_HARDY,
-               Family.HAD_WEIGHTED_HARDY, Family.HAD_UNCERTAINTY):
-        _check_sup_family(case)
-    elif fam is Family.POINCARE_SOBOLEV_LQ:
-        _check_sup_family(case)
-        if not case.theta > 1.0:
-            raise _fail(fam, f"theta > 1 (got theta={case.theta})")
-    elif fam is Family.SOBOLEV_BETA:
-        if not case.p > 1.0:
-            raise _fail(fam, f"p > 1 (got p={case.p})")
-        if not 0.0 <= case.beta < 1.0:
-            raise _fail(fam, f"beta in [0, 1) (got beta={case.beta})")
-        if not case.beta + 1.0 / case.p < case.alpha <= 1.0:
-            raise _fail(fam, f"alpha in (beta + 1/p, 1] (got alpha={case.alpha}, "
-                             f"beta={case.beta}, p={case.p})")
-    elif fam in _GN_FAMILIES:
-        case = _check_gn(case)
-    elif fam in _CKN_FAMILIES:
-        case = _check_ckn(case)
-    elif fam in (Family.SEQ_POINCARE_SOBOLEV, Family.SEQ_HARDY):
-        _check_sequential(case)
-    return case
+    _check_fields(case, spec)
+    if not case.a < case.b:
+        raise _fail(fam, f"a < b (got a={case.a}, b={case.b})")
+    if (spec.hadamard or spec.weighted) and not case.a > 0.0:
+        raise _fail(fam, f"a > 0 (got a={case.a})")
+    return spec.check(case)
 
 
-def _log_span(case: InequalityCase) -> float:
-    return abs(np.log(case.b / case.a))
-
-
-def _ps_constant(alpha: float, p: float, a: float, b: float) -> float:
-    return (b - a) ** (alpha - 1.0 / p) / (holder_denominator(alpha, p) * gamma_fn(alpha))
-
-
-def _hardy_constant(alpha: float, p: float, a: float, b: float) -> float:
-    return (b - a) ** alpha / (a * holder_denominator(alpha, p) * gamma_fn(alpha))
-
-
-def _weighted_hardy_constant(alpha: float, p: float, gamma: float,
-                             a: float, b: float) -> float:
-    g = abs(gamma)
-    return (a ** (-g - 1.0) * b**g * (b - a) ** alpha
-            / (holder_denominator(alpha, p) * gamma_fn(alpha)))
-
-
-def _had_ps_constant(alpha: float, p: float, case: InequalityCase) -> float:
-    return _log_span(case) ** (alpha - 1.0 / p) / (
-        holder_denominator(alpha, p) * gamma_fn(alpha))
-
-
-def _had_hardy_constant(alpha: float, p: float, case: InequalityCase) -> float:
-    return ((case.b - case.a) ** (1.0 / p) * _log_span(case) ** (alpha - 1.0 / p)
-            / (case.a * holder_denominator(alpha, p) * gamma_fn(alpha)))
-
-
-def _had_weighted_hardy_constant(alpha: float, p: float, gamma: float,
-                                 case: InequalityCase) -> float:
-    g = abs(gamma)
-    return (case.a ** (-g - 1.0) * case.b**g * (case.b - case.a) ** (1.0 / p)
-            * _log_span(case) ** (alpha - 1.0 / p)
-            / (holder_denominator(alpha, p) * gamma_fn(alpha)))
+def _constant(spec: _Spec, case: InequalityCase) -> float:
+    span = abs(np.log(case.b / case.a)) if spec.hadamard else case.b - case.a
+    value = spec.constant(case, getattr(case, spec.order), span)
+    if not np.isfinite(value) or value <= 0.0:
+        raise NumericError(f"{case.family.value}: constant is not a positive finite "
+                           f"number ({value})")
+    return float(value)
 
 
 def constant(case: InequalityCase) -> float:
     """Closed-form constant multiplying the right-hand side."""
     case = validate_case(case)
-    fam, a, b, alpha = case.family, case.a, case.b, case.alpha
-    if fam is Family.POINCARE_SOBOLEV:
-        value = _ps_constant(alpha, case.p, a, b)
-    elif fam is Family.POINCARE_SOBOLEV_LQ:
-        value = _ps_constant(alpha, case.p, a, b) * (b - a) ** (1.0 / case.theta)
-    elif fam is Family.SOBOLEV_BETA:
-        q = conjugate(case.p)
-        denom = (alpha * q - case.beta * q - q + 1.0) ** (1.0 / q)
-        value = (b - a) ** (alpha - case.beta - 1.0 / case.p) / (
-            denom * gamma_fn(alpha - case.beta))
-    elif fam is Family.HARDY or fam is Family.UNCERTAINTY:
-        value = _hardy_constant(alpha, case.p, a, b)
-    elif fam is Family.WEIGHTED_HARDY:
-        value = _weighted_hardy_constant(alpha, case.p, case.gamma, a, b)
-    elif fam is Family.GAGLIARDO_NIRENBERG:
-        # L^q Poincare-Sobolev with exponent q on both sides, to the power s
-        base = (b - a) ** alpha / (holder_denominator(alpha, case.q) * gamma_fn(alpha))
-        value = base ** case.s
-    elif fam is Family.CKN:
-        value = (1.0 if case.delta == 0.0 else
-                 _weighted_hardy_constant(alpha, case.p, -case.d, a, b) ** case.delta)
-    elif fam is Family.SEQ_POINCARE_SOBOLEV:
-        value = _ps_constant(alpha, case.p, a, b)
-    elif fam is Family.SEQ_HARDY:
-        value = _hardy_constant(alpha, case.p, a, b)
-    elif fam is Family.SEQ_GAGLIARDO_NIRENBERG:
-        # sequential L^q bound applied to the inner derivative, outer order
-        # beta, exponent q on both sides, to the power s
-        base = (b - a) ** case.beta / (
-            holder_denominator(case.beta, case.q) * gamma_fn(case.beta))
-        value = base ** case.s
-    elif fam is Family.HAD_POINCARE_SOBOLEV:
-        value = _had_ps_constant(alpha, case.p, case)
-    elif fam is Family.HAD_HARDY or fam is Family.HAD_UNCERTAINTY:
-        value = _had_hardy_constant(alpha, case.p, case)
-    elif fam is Family.HAD_WEIGHTED_HARDY:
-        value = _had_weighted_hardy_constant(alpha, case.p, case.gamma, case)
-    elif fam is Family.HAD_GAGLIARDO_NIRENBERG:
-        base = ((b - a) ** (1.0 / case.q) * _log_span(case) ** (alpha - 1.0 / case.q)
-                / (holder_denominator(alpha, case.q) * gamma_fn(alpha)))
-        value = base ** case.s
-    elif fam is Family.HAD_CKN:
-        value = (1.0 if case.delta == 0.0 else
-                 _had_weighted_hardy_constant(alpha, case.p, -case.d, case) ** case.delta)
-    else:  # pragma: no cover
-        raise ParamError(f"unknown family {fam!r}")
-    if not np.isfinite(value) or value <= 0.0:
-        raise NumericError(f"{fam.value}: constant is not a positive finite number "
-                           f"({value})")
-    return float(value)
+    return _constant(_SPECS[case.family], case)
 
 
 def sobolev_beta_statement_constant(case: InequalityCase) -> float:
@@ -423,127 +424,6 @@ def sobolev_beta_statement_constant(case: InequalityCase) -> float:
     if case.family is not Family.SOBOLEV_BETA:
         raise ParamError("statement constant is defined for sobolev-beta only")
     return constant(case) * (case.b - case.a) ** (1.0 / conjugate(case.p))
-
-
-# ---------------------------------------------------------------------------
-# side evaluation
-
-
-def _boundary_check(case: InequalityCase, u: GridFn) -> None:
-    fam = case.family
-    if fam is Family.SOBOLEV_BETA:
-        return
-    if fam in (Family.SEQ_POINCARE_SOBOLEV, Family.SEQ_HARDY):
-        inner = caputo_derivative(u, case.beta)
-        value = inner.samples[0]
-        what = "inner derivative"
-    elif fam is Family.SEQ_GAGLIARDO_NIRENBERG:
-        inner = caputo_derivative(u, case.alpha)
-        value = inner.samples[0]
-        what = "inner derivative"
-    else:
-        value = u.samples[0]
-        what = "function"
-    if abs(value) > BOUNDARY_TOLERANCE:
-        raise HypothesisError(
-            f"{fam.value}: {what} must vanish at a "
-            f"(|value| = {abs(value):.3e} > {BOUNDARY_TOLERANCE:.0e})"
-        )
-
-
-def _caputo_or_identity(u: GridFn, order: float) -> GridFn:
-    # order 0 appears only for sobolev-beta's lhs: the zeroth derivative of
-    # the representation is u - u(a)
-    if order == 0.0:
-        return GridFn(u.grid, u.samples - u.samples[0], name=u.name)
-    return caputo_derivative(u, order)
-
-
-def _log_weighted_factor(g: GridFn, p: float, power: float, a: float) -> float:
-    # (integral |g(sigma)|^p x(sigma)^(power*p) dsigma)^(1/p) on the
-    # companion grid, x(sigma) = a e^sigma; power 0 is the plain dx/x norm
-    if power == 0.0:
-        return norm(g, NormKind.lp(p))
-    x = a * np.exp(g.grid.nodes)
-    return lp_trapezoid(g.samples, g.grid.h, p, weights=x ** (power * p))
-
-
-def _sides(case: InequalityCase, u: GridFn) -> tuple[float, float]:
-    """Left-hand norm and right-hand norm product of the inequality."""
-    fam = case.family
-    if fam is Family.POINCARE_SOBOLEV:
-        return (norm(u, NormKind.sup()),
-                norm(caputo_derivative(u, case.alpha), NormKind.lp(case.p)))
-    if fam is Family.POINCARE_SOBOLEV_LQ:
-        return (norm(u, NormKind.lp(case.theta)),
-                norm(caputo_derivative(u, case.alpha), NormKind.lp(case.p)))
-    if fam is Family.SOBOLEV_BETA:
-        return (norm(_caputo_or_identity(u, case.beta), NormKind.sup()),
-                norm(caputo_derivative(u, case.alpha), NormKind.lp(case.p)))
-    if fam is Family.HARDY:
-        return (norm(u, NormKind.weighted_lp(case.p, -1.0)),
-                norm(caputo_derivative(u, case.alpha), NormKind.lp(case.p)))
-    if fam is Family.WEIGHTED_HARDY:
-        return (norm(u, NormKind.weighted_lp(case.p, -(case.gamma + 1.0))),
-                norm(caputo_derivative(u, case.alpha),
-                     NormKind.weighted_lp(case.p, -case.gamma)))
-    if fam is Family.GAGLIARDO_NIRENBERG:
-        d = caputo_derivative(u, case.alpha)
-        return (norm(u, NormKind.lp(case.gamma)),
-                norm(d, NormKind.lp(case.q)) ** case.s
-                * norm(u, NormKind.lp(case.p)) ** (1.0 - case.s))
-    if fam is Family.CKN:
-        d = caputo_derivative(u, case.alpha)
-        return (norm(u, NormKind.weighted_lp(case.r, case.c)),
-                norm(d, NormKind.weighted_lp(case.p, case.d)) ** case.delta
-                * norm(u, NormKind.weighted_lp(case.q, case.e)) ** (1.0 - case.delta))
-    if fam is Family.SEQ_POINCARE_SOBOLEV:
-        inner = caputo_derivative(u, case.beta)
-        return (norm(inner, NormKind.sup()),
-                norm(caputo_derivative(inner, case.alpha), NormKind.lp(case.p)))
-    if fam is Family.SEQ_HARDY:
-        inner = caputo_derivative(u, case.beta)
-        return (norm(inner, NormKind.weighted_lp(case.p, -1.0)),
-                norm(caputo_derivative(inner, case.alpha), NormKind.lp(case.p)))
-    if fam is Family.SEQ_GAGLIARDO_NIRENBERG:
-        inner = caputo_derivative(u, case.alpha)
-        outer = caputo_derivative(inner, case.beta)
-        return (norm(inner, NormKind.lp(case.gamma)),
-                norm(outer, NormKind.lp(case.q)) ** case.s
-                * norm(inner, NormKind.lp(case.p)) ** (1.0 - case.s))
-    if fam is Family.HAD_POINCARE_SOBOLEV:
-        g = hadamard_derivative(u, case.alpha, allow_order_one=True)
-        return norm(u, NormKind.sup()), norm(g, NormKind.lp(case.p))
-    if fam is Family.HAD_HARDY:
-        g = hadamard_derivative(u, case.alpha, allow_order_one=True)
-        return (norm(u, NormKind.weighted_lp(case.p, -1.0)),
-                norm(g, NormKind.lp(case.p)))
-    if fam is Family.HAD_WEIGHTED_HARDY:
-        g = hadamard_derivative(u, case.alpha, allow_order_one=True)
-        return (norm(u, NormKind.weighted_lp(case.p, -(case.gamma + 1.0))),
-                _log_weighted_factor(g, case.p, -case.gamma, case.a))
-    if fam is Family.HAD_GAGLIARDO_NIRENBERG:
-        g = hadamard_derivative(u, case.alpha, allow_order_one=True)
-        return (norm(u, NormKind.lp(case.gamma)),
-                norm(g, NormKind.lp(case.q)) ** case.s
-                * norm(u, NormKind.lp(case.p)) ** (1.0 - case.s))
-    if fam is Family.HAD_CKN:
-        g = hadamard_derivative(u, case.alpha, allow_order_one=True)
-        return (norm(u, NormKind.weighted_lp(case.r, case.c)),
-                _log_weighted_factor(g, case.p, case.d, case.a) ** case.delta
-                * norm(u, NormKind.weighted_lp(case.q, case.e)) ** (1.0 - case.delta))
-    if fam is Family.UNCERTAINTY:
-        q = conjugate(case.p)
-        return (norm(u, NormKind.lp(2.0)) ** 2,
-                norm(caputo_derivative(u, case.alpha), NormKind.lp(case.p))
-                * norm(u, NormKind.weighted_lp(q, 1.0)))
-    if fam is Family.HAD_UNCERTAINTY:
-        q = conjugate(case.p)
-        g = hadamard_derivative(u, case.alpha, allow_order_one=True)
-        return (norm(u, NormKind.lp(2.0)) ** 2,
-                norm(g, NormKind.lp(case.p))
-                * norm(u, NormKind.weighted_lp(q, 1.0)))
-    raise ParamError(f"unknown family {fam!r}")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -591,31 +471,44 @@ def _coarsen(u: GridFn) -> GridFn | None:
     return GridFn(coarse, samples, name=u.name)
 
 
+def _check_disc_tol(disc_tol: float | None) -> None:
+    if disc_tol is not None and not 0.0 <= disc_tol < math.inf:
+        raise ParamError(f"disc_tol must be finite and >= 0 (got {disc_tol})")
+
+
 def evaluate_sides(case: InequalityCase, u: GridFn,
                    disc_tol: float | None = None) -> Certificate:
     """Evaluate both sides of the inequality for one sampled function.
 
     The discretization tolerance defaults to the Richardson policy
-    ``1e-6 + |ratio(n) - ratio(n/2)|``; pass ``disc_tol`` to pin it.
-    Raises HypothesisError when the function violates the family's boundary
-    hypothesis, ParamError for invalid cases.
+    ``1e-6 + |ratio(n) - ratio(n/2)|``; pass a finite ``disc_tol >= 0`` to
+    pin it.  Raises HypothesisError when the function violates the family's
+    boundary hypothesis, ParamError for invalid cases or tolerances.
     """
     case = validate_case(case)
+    _check_disc_tol(disc_tol)
     if u.grid.a != case.a or u.grid.b != case.b:
         raise ParamError(
             f"{case.family.value}: function is sampled on [{u.grid.a}, {u.grid.b}] "
             f"but the case interval is [{case.a}, {case.b}]"
         )
-    _boundary_check(case, u)
-    cval = constant(case)
-    lhs, product = _sides(case, u)
+    spec = _SPECS[case.family]
+    v = spec.operand(case, u)
+    if spec.vanishing and abs(v.samples[0]) > BOUNDARY_TOLERANCE:
+        what = "function" if spec.inner is None else "inner derivative"
+        raise HypothesisError(
+            f"{case.family.value}: {what} must vanish at a "
+            f"(|value| = {abs(v.samples[0]):.3e} > {BOUNDARY_TOLERANCE:.0e})"
+        )
+    cval = _constant(spec, case)
+    lhs, product = spec.sides(spec, case, v)
     rhs = cval * product
     ratio = _ratio_of(lhs, rhs)
     if disc_tol is None:
         tol = 1e-6
         coarse = _coarsen(u)
         if coarse is not None:
-            lhs_c, product_c = _sides(case, coarse)
+            lhs_c, product_c = spec.sides(spec, case, spec.operand(case, coarse))
             tol += abs(ratio - _ratio_of(lhs_c, cval * product_c))
     else:
         tol = float(disc_tol)
@@ -638,14 +531,16 @@ def evaluate_sides(case: InequalityCase, u: GridFn,
     )
 
 
-def sweep(family: Family, cases: list[InequalityCase],
-          corpus: list[GridFn]) -> list[SweepCell]:
+def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
+          disc_tol: float | None = None) -> list[SweepCell]:
     """Evaluate the full cases x corpus cross product, lattice-major.
 
     Per-cell errors are captured in the cell instead of aborting the sweep,
     so one invalid case or one hypothesis violation leaves the remaining
-    cells intact.
+    cells intact.  ``disc_tol`` is passed to :func:`evaluate_sides`; an
+    invalid value raises ParamError before any cell is evaluated.
     """
+    _check_disc_tol(disc_tol)
     cells: list[SweepCell] = []
     for case in cases:
         for u in corpus:
@@ -655,7 +550,7 @@ def sweep(family: Family, cases: list[InequalityCase],
                         f"case family {case.family.value} does not match sweep "
                         f"family {family.value}"
                     )
-                cells.append(SweepCell(case, u.name, evaluate_sides(case, u)))
+                cells.append(SweepCell(case, u.name, evaluate_sides(case, u, disc_tol)))
             except FracineqError as exc:
                 cells.append(SweepCell(case, u.name, None,
                                        error=f"{type(exc).__name__}: {exc}"))

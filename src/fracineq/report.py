@@ -31,9 +31,6 @@ __all__ = [
 
 VERSION = "0.1.0"
 
-_PARAM_ORDER = ("a", "b", "alpha", "beta", "p", "q", "r", "s", "delta",
-                "gamma", "c", "d", "e", "theta")
-
 
 def format_float(x: float) -> str:
     x = float(x)
@@ -66,8 +63,8 @@ def _serialize(value) -> str:
 
 
 def _params_dict(case: InequalityCase) -> dict:
-    values = {f.name: getattr(case, f.name) for f in fields(case)}
-    return {name: values[name] for name in _PARAM_ORDER if values[name] is not None}
+    return {f.name: getattr(case, f.name) for f in fields(case)
+            if f.name != "family" and getattr(case, f.name) is not None}
 
 
 def certificate_row(cert: Certificate) -> dict:

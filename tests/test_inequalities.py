@@ -37,6 +37,28 @@ def linear_fn(a, b, n, name="t-a"):
     return GridFn(g, g.nodes - a, name=name)
 
 
+# one modest valid case per family on [1, 2]
+VALID = {
+    Family.POINCARE_SOBOLEV: dict(alpha=0.75, p=2.0),
+    Family.POINCARE_SOBOLEV_LQ: dict(alpha=0.75, p=2.0, theta=3.0),
+    Family.SOBOLEV_BETA: dict(alpha=0.9, beta=0.1, p=2.0),
+    Family.HARDY: dict(alpha=0.75, p=2.0),
+    Family.WEIGHTED_HARDY: dict(alpha=0.75, p=2.0, gamma=1.5),
+    Family.GAGLIARDO_NIRENBERG: dict(alpha=0.75, p=2.0, q=2.0, s=0.5),
+    Family.CKN: dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2),
+    Family.SEQ_POINCARE_SOBOLEV: dict(alpha=0.8, beta=0.4, p=2.0),
+    Family.SEQ_HARDY: dict(alpha=0.8, beta=0.4, p=2.0),
+    Family.SEQ_GAGLIARDO_NIRENBERG: dict(alpha=0.5, beta=0.8, p=2.0, q=2.0, s=0.5),
+    Family.HAD_POINCARE_SOBOLEV: dict(alpha=0.75, p=2.0),
+    Family.HAD_HARDY: dict(alpha=0.75, p=2.0),
+    Family.HAD_WEIGHTED_HARDY: dict(alpha=0.75, p=2.0, gamma=-0.5),
+    Family.HAD_GAGLIARDO_NIRENBERG: dict(alpha=0.75, p=2.0, q=2.0, s=0.5),
+    Family.HAD_CKN: dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2),
+    Family.UNCERTAINTY: dict(alpha=0.75, p=2.0),
+    Family.HAD_UNCERTAINTY: dict(alpha=0.75, p=2.0),
+}
+
+
 # --- validation: one test per documented rejection clause --------------------
 
 def test_ps_rejects_small_alpha():
@@ -153,6 +175,21 @@ def test_inactive_fields_are_rejected():
 def test_missing_field_is_rejected():
     with pytest.raises(ParamError, match="field 'p'"):
         validate_case(case(Family.POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=0.9))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_missing_or_nonfinite_fields_are_param_errors(family):
+    kw = dict(a=1.0, b=2.0, **VALID[family])
+    validated = validate_case(case(family, **kw))
+    for name in kw:
+        with pytest.raises(ParamError, match=f"requires field '{name}'"):
+            validate_case(case(family, **{**kw, name: None}))
+    # derived exponents (gamma, r, c) too, when given explicitly
+    given = {f: v for f, v in vars(validated).items() if f != "family" and v is not None}
+    for name in given:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParamError, match=rf"requires a finite {name} \(got"):
+                validate_case(case(family, **{**given, name: bad}))
 
 
 # --- constants ---------------------------------------------------------------
@@ -315,28 +352,8 @@ def test_soundness_small_sweep_all_families():
     # sweep runs in the acceptance suite
     grid = uniform_grid(1.0, 2.0, 256)
     corpus = generate(CorpusSpec.polynomials(grid, degree=3, count=5, seed=11))
-    cases = {
-        Family.POINCARE_SOBOLEV: dict(alpha=0.75, p=2.0),
-        Family.POINCARE_SOBOLEV_LQ: dict(alpha=0.75, p=2.0, theta=3.0),
-        Family.SOBOLEV_BETA: dict(alpha=0.9, beta=0.1, p=2.0),
-        Family.HARDY: dict(alpha=0.75, p=2.0),
-        Family.WEIGHTED_HARDY: dict(alpha=0.75, p=2.0, gamma=1.5),
-        Family.GAGLIARDO_NIRENBERG: dict(alpha=0.75, p=2.0, q=2.0, s=0.5),
-        Family.CKN: dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2),
-        Family.SEQ_POINCARE_SOBOLEV: dict(alpha=0.8, beta=0.4, p=2.0),
-        Family.SEQ_HARDY: dict(alpha=0.8, beta=0.4, p=2.0),
-        Family.SEQ_GAGLIARDO_NIRENBERG: dict(alpha=0.5, beta=0.8, p=2.0,
-                                             q=2.0, s=0.5),
-        Family.HAD_POINCARE_SOBOLEV: dict(alpha=0.75, p=2.0),
-        Family.HAD_HARDY: dict(alpha=0.75, p=2.0),
-        Family.HAD_WEIGHTED_HARDY: dict(alpha=0.75, p=2.0, gamma=-0.5),
-        Family.HAD_GAGLIARDO_NIRENBERG: dict(alpha=0.75, p=2.0, q=2.0, s=0.5),
-        Family.HAD_CKN: dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2),
-        Family.UNCERTAINTY: dict(alpha=0.75, p=2.0),
-        Family.HAD_UNCERTAINTY: dict(alpha=0.75, p=2.0),
-    }
-    assert set(cases) == set(Family)
-    for family, kw in cases.items():
+    assert set(VALID) == set(Family)
+    for family, kw in VALID.items():
         cert_case = case(family, a=1.0, b=2.0, **kw)
         for u in corpus:
             cert = evaluate_sides(cert_case, u)
@@ -460,3 +477,29 @@ def test_certificates_thread_safe():
         parallel = list(pool.map(lambda u: evaluate_sides(the_case, u), corpus))
     for s, p in zip(serial, parallel):
         assert s.lhs == p.lhs and s.rhs == p.rhs and s.ratio == p.ratio
+
+
+# --- per-family snapshot -----------------------------------------------------
+
+def test_certificates_match_snapshot_by_family():
+    # the first lattice case of every family over two seeded cubics; n is odd
+    # so the Richardson pass runs on the interpolated coarse grid
+    import json
+    from pathlib import Path
+
+    snap = json.loads((Path(__file__).parent / "fixtures"
+                       / "certificates_by_family.json").read_text())
+    grid = uniform_grid(snap["a"], snap["b"], snap["n"])
+    spec = snap["corpus"]
+    corpus = {u.name: u for u in generate(CorpusSpec.polynomials(
+        grid, spec["degree"], spec["count"], spec["seed"]))}
+    rows = snap["certificates"]
+    assert {Family(row["family"]) for row in rows} == set(Family)
+    assert len(rows) == 2 * len(Family)
+    for row in rows:
+        cert = evaluate_sides(case(Family(row["family"]), a=snap["a"], b=snap["b"],
+                                   **row["params"]), corpus[row["function"]])
+        for name in ("constant", "lhs", "rhs_norm_product", "ratio", "disc_tol"):
+            assert getattr(cert, name) == pytest.approx(row[name], rel=1e-12), \
+                (row["family"], row["function"], name)
+        assert cert.passed is row["passed"]

@@ -12,6 +12,7 @@ from fracineq import (
     EnergyTrace,
     Family,
     InequalityCase,
+    ParamError,
     evaluate_sides,
     uniform_grid,
     GridFn,
@@ -29,11 +30,12 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
-def sample_certificate():
+def sample_certificate(disc_tol=None):
     g = uniform_grid(0.0, 1.0, 64)
     u = GridFn(g, g.nodes.copy(), name="t")
     return evaluate_sides(
-        InequalityCase(Family.POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=1.0, p=2.0), u)
+        InequalityCase(Family.POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=1.0, p=2.0), u,
+        disc_tol)
 
 
 # --- serialization ------------------------------------------------------------
@@ -233,6 +235,15 @@ def test_cli_tol_overrides_richardson_policy():
     assert code == 0
     parsed = json.loads(out)
     assert all(row["disc_tol"] == 0.5 for row in parsed["results"])
+    # a tolerance that is not a finite number >= 0 is an input error
+    for bad in ("nan", "inf", "-1"):
+        code, out = run_cli(["verify", "--family", "poincare-sobolev",
+                             "--alpha", "0.9", "--p", "2", "--a", "0", "--b", "1",
+                             "--n", "64", "--corpus", "powers:1,2",
+                             "--tol", bad, "--no-timestamp"])
+        assert code == 3 and out == "", bad
+    with pytest.raises(ParamError, match="disc_tol"):
+        sample_certificate(float("nan"))
 
 
 def test_cli_missing_alpha_is_param_error():
@@ -242,3 +253,17 @@ def test_cli_missing_alpha_is_param_error():
     code, _ = run_cli(["sharpness", "--family", "hardy", "--p", "2",
                        "--a", "1", "--b", "2"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--corpus", "poly:3,x,7"],
+    ["verify", "--corpus", "poly:-1,2,7"],
+    ["verify", "--corpus", "poly:3,0,7"],
+    ["verify", "--corpus", "powers:abc"],
+    ["verify", "--corpus", "powers:"],
+    ["sharpness", "--degree", "-1", "--budget", "2"],
+])
+def test_cli_malformed_input_is_param_error(argv):
+    code, out = run_cli(argv[:1] + ["--family", "hardy", "--alpha", "0.9", "--p", "2",
+                                    "--a", "1", "--b", "2", "--n", "16"] + argv[1:])
+    assert code == 3 and out == ""
