@@ -15,6 +15,7 @@ resulting differential inequality gives I(t) <= I(0) exp(-2 lambda t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class DiffusionProblem:
             raise DomainError("u0 must vanish at the left endpoint")
         if not self.dt > 0.0:
             raise DomainError(f"requires dt > 0 (got {self.dt})")
-        if not self.T >= self.dt:
-            raise DomainError(f"requires T >= dt (got T={self.T}, dt={self.dt})")
+        if not self.dt <= self.T < math.inf:
+            raise DomainError(f"requires finite T >= dt (got T={self.T}, dt={self.dt})")
 
 
 @dataclass(frozen=True)

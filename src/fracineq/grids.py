@@ -9,6 +9,7 @@ the operator discretizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,8 +121,12 @@ class NormKind:
         return NormKind("sup")
 
 
+@lru_cache(maxsize=64)
 def uniform_grid(a: float, b: float, n: int) -> Grid:
-    """Uniform grid on [a, b] with n subintervals; spacing h = (b-a)/n."""
+    """Uniform grid on [a, b] with n subintervals; spacing h = (b-a)/n.
+
+    Memoized: grids are immutable, so repeated requests share one instance.
+    """
     return Grid(a, b, n)
 
 

@@ -11,12 +11,16 @@ def gamma_fn(x: float) -> float:
     """Euler gamma function on the positive half line.
 
     Backed by the C library's Lanczos-class implementation; relative error
-    is well below 1e-12 on (0, 10].
+    is well below 1e-12 on (0, 10].  Arguments whose gamma overflows a
+    float (x above about 171.6) raise DomainError.
     """
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"gamma_fn requires x > 0 (got {x})")
-    return math.gamma(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"gamma_fn requires finite x > 0 (got {x})")
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma_fn({x}) overflows a float") from None
 
 
 def conjugate(p: float) -> float:

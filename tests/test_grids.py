@@ -150,3 +150,5 @@ def test_grid_hash_and_equality():
     assert uniform_grid(0.0, 1.0, 8) == uniform_grid(0.0, 1.0, 8)
     assert hash(uniform_grid(0.0, 1.0, 8)) == hash(uniform_grid(0.0, 1.0, 8))
     assert uniform_grid(0.0, 1.0, 8) != uniform_grid(0.0, 1.0, 16)
+    # memoized: repeated requests share one instance
+    assert uniform_grid(0.0, 1.0, 8) is uniform_grid(0.0, 1.0, 8)

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,11 @@ from fracineq import (
     to_log_grid,
     uniform_grid,
 )
+from fracineq import operators
+from fracineq.operators import OPERATOR_KINDS
 from conftest import order_fit
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 INV_GAMMA_15 = 1.1283791670955126  # 1/Gamma(1.5) = 2/sqrt(pi)
 INV_SQRT_PI = 0.5641895835477563
@@ -292,6 +300,7 @@ def test_companion_grid_round_trip():
     assert np.max(np.abs(back.samples - u.samples)) < 1e-3
     tau = log_companion_grid(g)
     assert tau.n == g.n and tau.a == 0.0
+    assert log_companion_grid(g) is tau
 
 
 # --- sequential composition -------------------------------------------------
@@ -370,3 +379,59 @@ def test_operator_output_preserves_grid_and_name():
     out = caputo_derivative(u, 0.5)
     assert out.grid == u.grid
     assert out.name == "wave"
+
+
+# --- O(n) storage and fast apply --------------------------------------------
+
+FAST_CASES = [(kind, 0.6) for kind in OPERATOR_KINDS] + [("caputo", 1.0)]
+FFT_MIN_N = operators._FFT_MIN_N
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 129, FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 1, 4096])
+@pytest.mark.parametrize("kind,alpha", FAST_CASES)
+def test_fast_apply_matches_dense_product(kind, alpha, n):
+    m = operator_matrix(uniform_grid(1.0, 2.0, n), alpha, kind)
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    dense = m.weights @ x
+    got = m.apply(x)
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_weights_match_dense_assembly_bit_for_bit():
+    # sha256 of .weights.tobytes(), recorded from the former dense assembly
+    # (scipy toeplitz + boundary column + zero row); the diffusion stiffness
+    # is built from these bytes
+    fixture = json.loads((FIXTURES / "operator_weights_sha256.json").read_text())
+    for entry in fixture["weights"]:
+        grid = uniform_grid(fixture["a"], fixture["b"], entry["n"])
+        w = operator_matrix(grid, entry["alpha"], entry["kind"]).weights
+        digest = hashlib.sha256(w.tobytes()).hexdigest()
+        assert digest == entry["sha256"], (entry["kind"], entry["alpha"], entry["n"])
+
+
+def test_operator_memory_is_linear_in_n():
+    # a dense matrix at this n would take 8.8 TB; band, column and spectrum
+    # take about 34 MB per operator
+    n = 2**20
+    grid = uniform_grid(1.0, 2.0, n)
+    x = np.linspace(0.0, 1.0, n + 1)
+    tracemalloc.start()
+    try:
+        for kind in OPERATOR_KINDS:
+            m = operator_matrix(grid, 0.6, kind)
+            y = m.apply(x)
+            assert y.shape == (n + 1,) and np.all(np.isfinite(y))
+            arrays = [v for v in vars(m).values() if isinstance(v, np.ndarray)]
+            assert arrays and all(a.ndim == 1 for a in arrays)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        operators._cached_build.cache_clear()
+    assert peak < 256 * 2**20
+
+
+def test_apply_rejects_wrong_length():
+    m = operator_matrix(uniform_grid(0.0, 1.0, 16), 0.5, "caputo")
+    with pytest.raises(DomainError):
+        m.apply(np.zeros(18))

@@ -267,3 +267,16 @@ def test_cli_malformed_input_is_param_error(argv):
     code, out = run_cli(argv[:1] + ["--family", "hardy", "--alpha", "0.9", "--p", "2",
                                     "--a", "1", "--b", "2", "--n", "16"] + argv[1:])
     assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", "--operator", "rl-integral", "--alpha", "nan", "--expr", "t", "--a", "0", "--b", "1"],
+    ["op", "--operator", "rl-integral", "--alpha", "inf", "--expr", "t", "--a", "0", "--b", "1"],
+    ["op", "--operator", "rl-integral", "--alpha", "1e300", "--expr", "t", "--a", "0", "--b", "1"],
+    ["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "16", "--dt", "0.01",
+     "--T", "inf"],
+])
+def test_cli_unrepresentable_order_or_horizon_is_param_error(argv, capsys):
+    code, _ = run_cli(argv)
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err

@@ -40,3 +40,9 @@ def test_holder_denominator():
         holder_denominator(0.5, 2.0)
     with pytest.raises(DomainError):
         holder_denominator(0.9, 1.0)
+
+
+def test_gamma_fn_rejects_overflow_and_non_finite():
+    for x in (171.7, 1e300, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            gamma_fn(x)
