@@ -8,6 +8,22 @@ K is symmetric positive semidefinite and the discrete energy identity
 u^T K u = ||d^alpha u||^2 holds exactly, so implicit Euler dissipates the
 energy I(t) = ||u||^2 unconditionally.
 
+For alpha < 1, D is the lower-triangular Toeplitz band b of the L1 scheme,
+so K is assembled from b in O(n^2) without forming D.  With 1-based
+unknowns i and diagonal offset d >= 0,
+
+    K[i, i+d] = h * sum_{k=d..n-i} b[k] b[k-d]  -  (h/2) * b[n-i] b[n-i-d],
+
+one cumulative sum per diagonal, each value written to both triangles so
+K is exactly symmetric.  The order-1 finite differences keep the dense
+product D^T Q D.
+
+Implicit Euler factors M + dt K once (the Cholesky factorization checks
+its input for finite values) and each step is a LAPACK triangular solve
+against that factor, with no further finiteness scan.  The initial data
+are checked for finite samples once, when the problem is built, and the
+step count T/dt is bounded by MAX_STEPS.
+
 The decay-rate constant lambda = (2*alpha - 1) * Gamma(alpha)^2 / (b-a)^(2*alpha)
 comes from the L^2 Poincare-Sobolev bound with p = 2; integrating the
 resulting differential inequality gives I(t) <= I(0) exp(-2 lambda t).
@@ -20,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import DomainError, SolveError
 from .grids import Grid, GridFn
@@ -36,7 +53,12 @@ __all__ = [
     "step",
     "run",
     "check_apriori",
+    "MAX_STEPS",
 ]
+
+#: the largest step count T/dt a problem may ask for; the trace holds
+#: 2 (MAX_STEPS + 1) floats
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -54,12 +76,23 @@ class DiffusionProblem:
             raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {self.alpha})")
         if self.u0.grid != self.grid:
             raise DomainError("u0 must be sampled on the problem grid")
+        if not np.all(np.isfinite(self.u0.samples)):
+            raise DomainError("u0 must have finite samples")
         if self.u0.samples[0] != 0.0:
             raise DomainError("u0 must vanish at the left endpoint")
         if not self.dt > 0.0:
             raise DomainError(f"requires dt > 0 (got {self.dt})")
         if not self.dt <= self.T < math.inf:
             raise DomainError(f"requires finite T >= dt (got T={self.T}, dt={self.dt})")
+        if not self.T / self.dt <= MAX_STEPS:
+            raise DomainError(
+                f"T/dt = {self.T / self.dt:g} exceeds the limit of {MAX_STEPS} steps"
+            )
+
+    @property
+    def nsteps(self) -> int:
+        """The number of implicit Euler steps from 0 to T."""
+        return int(math.floor(self.T / self.dt + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -102,46 +135,75 @@ def assemble_stiffness(grid: Grid, alpha: float) -> np.ndarray:
 
     K is exactly symmetric and positive semidefinite; u^T K u equals the
     discrete squared L^2 norm of the order-alpha derivative of the function
-    with samples (0, u_1, ..., u_n).
+    with samples (0, u_1, ..., u_n).  For alpha < 1 it is built from the
+    Toeplitz band by the diagonal identity in the module docstring.
     """
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {alpha})")
-    d_full = operator_matrix(grid, alpha, "caputo").weights
-    d_restricted = d_full[:, 1:]
-    q = _quadrature_diagonal(grid)
-    k = d_restricted.T @ (q[:, None] * d_restricted)
-    return 0.5 * (k + k.T)
+    op = operator_matrix(grid, alpha, "caputo")
+    if op.band is None:
+        d_restricted = op.weights[:, 1:]
+        q = _quadrature_diagonal(grid)
+        k = d_restricted.T @ (q[:, None] * d_restricted)
+        return 0.5 * (k + k.T)
+    n, h = grid.n, grid.h
+    b = op.band[:n]
+    k = np.empty((n, n))
+    flat = k.reshape(-1)
+    for d in range(n):
+        # products b[m] b[m-d] for m = d..n-1; unknown p (0-based) takes m = n-1-p
+        prod = b[d:] * b[:n - d]
+        diagonal = (h * np.cumsum(prod) - 0.5 * h * prod)[::-1]
+        flat[d:n * (n - d):n + 1] = diagonal
+        flat[d * n::n + 1] = diagonal
+    return k
+
+
+def _factor(system: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray, bool]:
+    # Cholesky factor of M + dt K, formed in place of the stiffness K in ``system``
+    system *= dt
+    system.flat[::system.shape[0] + 1] += mass
+    try:
+        # K is exactly symmetric, so the Fortran-ordered transpose is the same
+        # matrix and is factored in place
+        return scipy.linalg.cho_factor(system.T, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise SolveError(f"implicit Euler solve failed: {exc}") from exc
+
+
+def _solve(factor: tuple[np.ndarray, bool], rhs: np.ndarray) -> np.ndarray:
+    # the factor was checked finite once, when it was computed
+    c, lower = factor
+    x, info = scipy.linalg.lapack.dpotrs(c, rhs, lower=lower, overwrite_b=True)
+    if info != 0:  # pragma: no cover
+        raise SolveError(f"implicit Euler solve failed: dpotrs info {info}")
+    return x
 
 
 def step(u: np.ndarray, stiffness: np.ndarray, mass: np.ndarray,
          dt: float) -> np.ndarray:
-    """One implicit Euler step: solve (M + dt K) u_next = M u."""
+    """One implicit Euler step: solve (M + dt K) u_next = M u.
+
+    ``stiffness`` must be exactly symmetric, as ``assemble_stiffness``
+    returns it; it is not modified.
+    """
     if dt <= 0.0:
         raise DomainError(f"requires dt > 0 (got {dt})")
-    system = np.diag(mass) + dt * stiffness
-    try:
-        factor = scipy.linalg.cho_factor(system)
-        return scipy.linalg.cho_solve(factor, mass * u)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolveError(f"implicit Euler solve failed: {exc}") from exc
+    return _solve(_factor(np.array(stiffness, dtype=float), mass, dt), mass * u)
 
 
 def run(problem: DiffusionProblem) -> EnergyTrace:
     """Step from 0 to T recording I(t_k) = discrete squared L^2 norm."""
     grid = problem.grid
-    k = assemble_stiffness(grid, problem.alpha)
     mass = mass_diagonal(grid)
-    nsteps = int(np.floor(problem.T / problem.dt + 1e-12))
+    nsteps = problem.nsteps
     u = problem.u0.samples[1:].copy()
     times = problem.dt * np.arange(nsteps + 1)
     energy = np.empty(nsteps + 1)
     energy[0] = float(u @ (mass * u))
-    try:
-        factor = scipy.linalg.cho_factor(np.diag(mass) + problem.dt * k)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolveError(f"implicit Euler solve failed: {exc}") from exc
+    factor = _factor(assemble_stiffness(grid, problem.alpha), mass, problem.dt)
     for j in range(1, nsteps + 1):
-        u = scipy.linalg.cho_solve(factor, mass * u)
+        u = _solve(factor, mass * u)
         energy[j] = float(u @ (mass * u))
     return EnergyTrace(times, energy, decay_rate(grid, problem.alpha))
 

@@ -16,10 +16,12 @@ from fracineq import (
     gamma_fn,
     mass_diagonal,
     norm,
+    operator_matrix,
     run,
     step,
     uniform_grid,
 )
+from fracineq.diffusion import MAX_STEPS
 
 
 def make_problem(alpha=0.75, n=64, T=0.05, dt=1e-3, profile=None):
@@ -33,6 +35,21 @@ def test_stiffness_symmetric_bit_exact():
     grid = uniform_grid(0.0, 1.0, 32)
     k = assemble_stiffness(grid, 0.75)
     assert np.array_equal(k, k.T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 129, 1024])
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
+def test_stiffness_toeplitz_matches_dense_product(alpha, n):
+    # the O(n^2) diagonal assembly against W[:, 1:]^T (q W[:, 1:]) from the
+    # dense weights
+    grid = uniform_grid(0.0, 1.0, n)
+    w = operator_matrix(grid, alpha, "caputo").weights[:, 1:]
+    q = np.full(n + 1, grid.h)
+    q[0] = q[-1] = grid.h / 2
+    dense = w.T @ (q[:, None] * w)
+    k = assemble_stiffness(grid, alpha)
+    assert np.array_equal(k, k.T)
+    assert np.max(np.abs(k - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_stiffness_energy_identity():
@@ -81,6 +98,32 @@ def test_problem_validation():
         DiffusionProblem(grid, 0.75, good, T=0.1, dt=0.5)
     with pytest.raises(DomainError):
         DiffusionProblem(grid, 0.4, good, T=1.0, dt=0.5)
+    for bad in (np.nan, np.inf):
+        samples = good.samples.copy()
+        samples[7] = bad
+        with pytest.raises(DomainError, match="finite"):
+            DiffusionProblem(grid, 0.75, GridFn(grid, samples), T=1.0, dt=0.5)
+    # the step count T/dt is bounded before any array is allocated
+    assert DiffusionProblem(grid, 0.75, good, T=MAX_STEPS * 1e-3, dt=1e-3).nsteps == MAX_STEPS
+    for T, dt in ((1e300, 1e-10), (2.0 * MAX_STEPS * 1e-3, 1e-3)):
+        with pytest.raises(DomainError, match="steps"):
+            DiffusionProblem(grid, 0.75, good, T=T, dt=dt)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0])
+def test_run_equals_loop_of_step_bit_for_bit(alpha):
+    problem = make_problem(alpha=alpha, n=32, T=0.05, dt=1e-3)
+    trace = run(problem)
+    k = assemble_stiffness(problem.grid, alpha)
+    k_before = k.copy()
+    m = mass_diagonal(problem.grid)
+    u = problem.u0.samples[1:].copy()
+    energy = [u @ (m * u)]
+    for _ in range(problem.nsteps):
+        u = step(u, k, m, problem.dt)
+        energy.append(u @ (m * u))
+    assert np.array_equal(trace.energy, np.array(energy))
+    assert np.array_equal(k, k_before)
 
 
 def test_step_zero_fixed_point():

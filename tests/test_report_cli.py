@@ -275,6 +275,8 @@ def test_cli_malformed_input_is_param_error(argv):
     ["op", "--operator", "rl-integral", "--alpha", "1e300", "--expr", "t", "--a", "0", "--b", "1"],
     ["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "16", "--dt", "0.01",
      "--T", "inf"],
+    ["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "16", "--dt", "1e-10",
+     "--T", "1e300"],
 ])
 def test_cli_unrepresentable_order_or_horizon_is_param_error(argv, capsys):
     code, _ = run_cli(argv)
