@@ -25,6 +25,7 @@ from .errors import (
     NumericError,
     ParamError,
     ParseError,
+    SizeError,
     SolveError,
 )
 from .grids import Grid, GridFn, NormKind, norm, refine, uniform_grid
@@ -84,6 +85,7 @@ __all__ = [
     # errors
     "FracineqError", "DomainError", "ParamError", "HypothesisError",
     "ParseError", "EvalError", "ConvergenceError", "SolveError", "NumericError",
+    "SizeError",
     # grids
     "Grid", "GridFn", "NormKind", "uniform_grid", "refine", "norm",
     # special

@@ -39,9 +39,9 @@ from .operators import (
 from .report import (
     certificate_row,
     emit_csv,
-    emit_json,
     emit_payload_json,
     emit_samples_csv,
+    format_float,
     rfc3339_now,
     sweep_rows,
 )
@@ -52,7 +52,7 @@ _OPERATORS = {
     "caputo": caputo_derivative,
     "right-rl-derivative": right_rl_derivative,
     "hadamard-integral": hadamard_integral,
-    "hadamard-derivative": lambda u, a: hadamard_derivative(u, a, allow_order_one=True),
+    "hadamard-derivative": hadamard_derivative,
 }
 
 _CASE_FLAGS = (
@@ -274,8 +274,8 @@ def _cmd_converge(args, command: str, stamp: str | None) -> int:
     if args.out == "csv":
         lines = ["n,sup_diff,order"]
         for row in rows:
-            order = "" if row["order"] is None else f"{row['order']:.17g}"
-            lines.append(f"{row['n']},{row['sup_diff']:.17g},{order}")
+            order = "" if row["order"] is None else format_float(row["order"])
+            lines.append(f"{row['n']},{format_float(row['sup_diff'])},{order}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         print(emit_payload_json(rows, command, stamp))

@@ -16,7 +16,8 @@ unknowns i and diagonal offset d >= 0,
 
 one cumulative sum per diagonal, each value written to both triangles so
 K is exactly symmetric.  The order-1 finite differences keep the dense
-product D^T Q D.
+product D^T Q D.  K is dense at every order, so n is limited to
+grids.MAX_DENSE_N.
 
 Implicit Euler factors M + dt K once (the Cholesky factorization checks
 its input for finite values) and each step is a LAPACK triangular solve
@@ -39,7 +40,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .errors import DomainError, SolveError
-from .grids import Grid, GridFn
+from .grids import Grid, GridFn, check_dense
 from .operators import operator_matrix
 from .special import gamma_fn
 
@@ -140,6 +141,7 @@ def assemble_stiffness(grid: Grid, alpha: float) -> np.ndarray:
     """
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {alpha})")
+    check_dense(grid, "the diffusion stiffness")
     op = operator_matrix(grid, alpha, "caputo")
     if op.band is None:
         d_restricted = op.weights[:, 1:]

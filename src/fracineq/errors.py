@@ -9,6 +9,10 @@ class DomainError(FracineqError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class SizeError(DomainError):
+    """A grid is too large for an operation; a sweep raises it for all cells."""
+
+
 class ParamError(FracineqError):
     """An inequality case violates one of its hypotheses.
 

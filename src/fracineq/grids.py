@@ -13,9 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 
 __all__ = [
+    "MAX_N",
+    "MAX_DENSE_N",
+    "check_dense",
     "Grid",
     "GridFn",
     "NormKind",
@@ -25,6 +28,14 @@ __all__ = [
     "trapezoid",
     "lp_trapezoid",
 ]
+
+#: the most subintervals a grid may have; an operator of order below 1 on
+#: the largest grid holds 128 MiB and peaks at 288 MiB while applying
+MAX_N = 2**22
+
+#: the most subintervals for a dense matrix: the order-1 finite differences
+#: and the diffusion stiffness (537 MB at n = 8192)
+MAX_DENSE_N = 8192
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,8 @@ class Grid:
             raise DomainError(f"grid requires a < b (got a={self.a}, b={self.b})")
         if self.n < 2:
             raise DomainError(f"grid requires n >= 2 (got n={self.n})")
+        if self.n > MAX_N:
+            raise SizeError(f"grid requires n <= {MAX_N} (got n={self.n})")
         h = (self.b - self.a) / self.n
         nodes = self.a + np.arange(self.n + 1) * h
         nodes[self.n] = self.b
@@ -58,6 +71,14 @@ class Grid:
     @property
     def h(self) -> float:
         return (self.b - self.a) / self.n
+
+
+def check_dense(grid: Grid, what: str) -> None:
+    """Raise SizeError when ``what``, a dense matrix on ``grid``, is too large."""
+    if grid.n > MAX_DENSE_N:
+        raise SizeError(
+            f"{what} is a dense matrix, limited to n <= {MAX_DENSE_N} (got n={grid.n})"
+        )
 
 
 @dataclass(frozen=True, eq=False)

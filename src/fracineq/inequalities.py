@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FracineqError, HypothesisError, NumericError, ParamError
+from .errors import FracineqError, HypothesisError, NumericError, ParamError, SizeError
 from .grids import GridFn, NormKind, lp_trapezoid, norm, uniform_grid
 from .operators import caputo_derivative, hadamard_derivative
 from .special import conjugate, gamma_fn, holder_denominator
@@ -323,7 +323,7 @@ class _Spec:
         # x the physical variable: the node on the t-grid, a e^sigma on the
         # companion grid (where the plain norm is the dx/x norm)
         order = getattr(case, self.order)
-        dv = (hadamard_derivative(v, order, allow_order_one=True) if self.hadamard
+        dv = (hadamard_derivative(v, order) if self.hadamard
               else caputo_derivative(v, order))
         if power == 0.0:
             return norm(dv, NormKind.lp(p))
@@ -537,8 +537,9 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
 
     Per-cell errors are captured in the cell instead of aborting the sweep,
     so one invalid case or one hypothesis violation leaves the remaining
-    cells intact.  ``disc_tol`` is passed to :func:`evaluate_sides`; an
-    invalid value raises ParamError before any cell is evaluated.
+    cells intact.  A SizeError concerns the grid, not the cell, and is
+    raised.  ``disc_tol`` is passed to :func:`evaluate_sides`; an invalid
+    value raises ParamError before any cell is evaluated.
     """
     _check_disc_tol(disc_tol)
     cells: list[SweepCell] = []
@@ -551,6 +552,8 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
                         f"family {family.value}"
                     )
                 cells.append(SweepCell(case, u.name, evaluate_sides(case, u, disc_tol)))
+            except SizeError:
+                raise
             except FracineqError as exc:
                 cells.append(SweepCell(case, u.name, None,
                                        error=f"{type(exc).__name__}: {exc}"))

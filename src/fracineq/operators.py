@@ -19,6 +19,12 @@ D^1 u = u'.
 Derivative outputs at the left endpoint are 0 for a < 1: the scheme's first
 cell gives values ~ (t-a)^(1-a) which vanish as t -> a.
 
+Each public operator function applies the :class:`OperatorMatrix` of its
+kind; the Hadamard derivative of order 1, the limit t u'(t), applies the
+order-1 caputo kind and resamples.  The Riemann-Liouville kind carries the
+exact derivative of u(a) in its boundary column; the right-sided kind is the
+left one mirrored at every order, so order 1 gives -u'.
+
 Hadamard operators are evaluated through the exact substitution
 sigma = log(t/a), which turns the logarithmic kernel into the standard
 power kernel on a companion grid uniform in sigma.  Their outputs live on
@@ -31,8 +37,9 @@ a lower-triangular Toeplitz band, one boundary column and a zero row 0.  An
 operator stores those O(n) parts and applies the band by direct convolution
 on small grids and by a cached real-FFT spectrum on large ones.  The dense
 (n+1)^2 weight matrix is assembled only on request, except for the order-1
-finite differences, which are kept dense.  Operators are immutable and
-cached, so batch evaluations over function corpora reuse them.
+finite differences, which are kept dense up to grids.MAX_DENSE_N.
+Operators are immutable and cached, so batch evaluations over function
+corpora reuse them.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import toeplitz
 
 from .errors import DomainError
-from .grids import Grid, GridFn
+from .grids import Grid, GridFn, check_dense
 from .special import gamma_fn
 
 __all__ = [
@@ -97,13 +104,13 @@ class OperatorMatrix:
         y[i] = sum_{j=1..i} band[i-j] x[j] + col0[i] x[0],   i >= 1,
 
     so ``band`` and ``col0`` (n+1 floats each, scale included) are the
-    matrix's Toeplitz band and its column 0.  A ``mirrored`` operator is the
-    right-sided kind: it reverses x in and y out.  For n >= _FFT_MIN_N the
+    matrix's Toeplitz band and its column 0.  For n >= _FFT_MIN_N the
     real-FFT ``spectrum`` of the band is computed once at construction.  The
     order-1 derivatives are classical finite differences held in ``dense``
-    instead, with ``band`` and ``col0`` unset.  For Hadamard kinds ``grid``
-    is the companion grid uniform in log(t/a), not the t-grid the operand
-    was sampled on.
+    instead, with ``band`` and ``col0`` unset.  A ``mirrored`` operator is
+    the right-sided kind: it reverses x in and y out, whichever way it is
+    stored.  For Hadamard kinds ``grid`` is the companion grid uniform in
+    log(t/a), not the t-grid the operand was sampled on.
     """
 
     grid: Grid
@@ -131,14 +138,15 @@ class OperatorMatrix:
     def weights(self) -> np.ndarray:
         """The dense (n+1)^2 weight matrix.
 
-        Assembled from the parts on each access and kept by no cache; for
-        the order-1 finite differences it is the stored ``dense`` matrix.
+        Assembled from the parts on each access and kept by no cache; the
+        order-1 finite differences start from the stored ``dense`` matrix.
         """
         if self.dense is not None:
-            return self.dense
-        w = toeplitz(self.band, np.zeros(self.grid.n + 1))
-        w[:, 0] = self.col0
-        w[0, :] = 0.0
+            w = self.dense
+        else:
+            w = toeplitz(self.band, np.zeros(self.grid.n + 1))
+            w[:, 0] = self.col0
+            w[0, :] = 0.0
         if self.mirrored:
             w = w[::-1, ::-1].copy()
         w.setflags(write=False)
@@ -146,8 +154,6 @@ class OperatorMatrix:
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """The operator's values at the n+1 nodes for one vector of samples."""
-        if self.dense is not None:
-            return self.dense @ samples
         n = self.grid.n
         x = np.asarray(samples, dtype=float)
         if x.shape != (n + 1,):
@@ -156,6 +162,10 @@ class OperatorMatrix:
         out = y
         if self.mirrored:
             x, out = x[::-1], y[::-1]
+        if self.dense is not None:
+            # a reversed view would bypass BLAS and round differently
+            out[:] = self.dense @ np.ascontiguousarray(x)
+            return y
         if self.spectrum is None:
             band_part = np.convolve(self.band[:n], x[1:])[:n]
         else:
@@ -235,48 +245,37 @@ def _fd1_weights(n: int, h: float) -> np.ndarray:
     return w / h
 
 
-def _rl_derivative_singular_profile(grid: Grid, alpha: float) -> np.ndarray:
-    """Exact fractional derivative of the constant 1: (t-a)^(-alpha)/Gamma(1-alpha).
-
-    The value at t = a is set to 0 by the left-endpoint convention; at
-    alpha = 1 the profile vanishes identically (1/Gamma(0) = 0).
-    """
-    if alpha == 1.0:
-        return np.zeros(grid.n + 1)
-    s = np.zeros(grid.n + 1)
-    s[1:] = (grid.nodes[1:] - grid.a) ** (-alpha) / gamma_fn(1.0 - alpha)
-    return s
-
-
 def _build(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
     n, h = grid.n, grid.h
     if kind == "rl-integral":
         band, col0 = _rl_integral_parts(n, _check_integral_order(alpha), h)
     elif kind == "caputo":
         if _check_derivative_order(alpha) == 1.0:
+            check_dense(grid, "the order-1 derivative")
             return OperatorMatrix(grid, alpha, kind, dense=_fd1_weights(n, h))
         band, col0 = _l1_caputo_parts(n, alpha, h)
     elif kind == "rl-derivative":
         caputo = _operator(grid, _check_derivative_order(alpha), "caputo")
         if alpha == 1.0:
             return replace(caputo, kind=kind)
-        return replace(caputo, kind=kind,
-                       col0=caputo.col0 + _rl_derivative_singular_profile(grid, alpha))
+        # the exact derivative of the constant 1, (t-a)^(-alpha) / Gamma(1-alpha),
+        # set to 0 at t = a by the left-endpoint convention
+        profile = np.zeros(n + 1)
+        profile[1:] = (grid.nodes[1:] - grid.a) ** (-alpha) / gamma_fn(1.0 - alpha)
+        return replace(caputo, kind=kind, col0=caputo.col0 + profile)
     elif kind == "right-rl-derivative":
         left = _operator(grid, _check_derivative_order(alpha), "rl-derivative")
-        if alpha == 1.0:
-            return replace(left, kind=kind, dense=left.dense[::-1, ::-1].copy())
         return replace(left, kind=kind, mirrored=True)
     elif kind == "hadamard-integral":
         tau = log_companion_grid(grid)
         band, col0 = _rl_integral_parts(tau.n, _check_integral_order(alpha), tau.h)
         return OperatorMatrix(tau, alpha, kind, band, col0)
     elif kind == "hadamard-derivative":
+        tau = log_companion_grid(grid)
         if not 0.0 < float(alpha) < 1.0:
             raise DomainError(
                 f"hadamard derivative requires alpha in (0, 1) (got {alpha})"
             )
-        tau = log_companion_grid(grid)
         band, col0 = _l1_caputo_parts(tau.n, alpha, tau.h)
         return OperatorMatrix(tau, alpha, kind, band, col0)
     else:
@@ -298,6 +297,15 @@ def operator_matrix(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
     return _operator(grid, float(alpha), kind)
 
 
+def _evaluate(u: GridFn, alpha: float, kind: str) -> GridFn:
+    # the kind applied to the samples, resampled onto the companion grid for
+    # the Hadamard kinds; the kind checks the order and the endpoint
+    m = operator_matrix(u.grid, alpha, kind)
+    if kind.startswith("hadamard"):
+        u = to_log_grid(u)
+    return GridFn(m.grid, m.apply(u.samples), name=u.name)
+
+
 def rl_integral(u: GridFn, alpha: float) -> GridFn:
     """Left fractional integral of order alpha > 0 at every node.
 
@@ -305,33 +313,24 @@ def rl_integral(u: GridFn, alpha: float) -> GridFn:
     alpha = 1 the rule reduces to composite trapezoid, which is exact for
     the piecewise-linear data model.
     """
-    m = operator_matrix(u.grid, _check_integral_order(alpha), "rl-integral")
-    return GridFn(u.grid, m.apply(u.samples), name=u.name)
+    return _evaluate(u, alpha, "rl-integral")
 
 
 def caputo_derivative(u: GridFn, alpha: float) -> GridFn:
     """Caputo fractional derivative of order alpha in (0, 1] at every node."""
-    m = operator_matrix(u.grid, _check_derivative_order(alpha), "caputo")
-    return GridFn(u.grid, m.apply(u.samples), name=u.name)
+    return _evaluate(u, alpha, "caputo")
 
 
 def rl_derivative(u: GridFn, alpha: float) -> GridFn:
-    """Riemann-Liouville derivative via the Caputo scheme plus boundary shift.
+    """Riemann-Liouville derivative of order alpha in (0, 1] at every node.
 
-    For data vanishing at the left endpoint the two derivatives coincide and
-    the returned samples are bit-identical with :func:`caputo_derivative`.
-    Otherwise the exact singular contribution of the boundary value,
-    u(a) (t-a)^(-alpha) / Gamma(1-alpha), is added analytically (its nodal
-    value at t = a is set to 0 by the endpoint convention; the true limit
-    diverges for u(a) != 0).
+    The Caputo scheme plus the exact singular contribution of the boundary
+    value, u(a) (t-a)^(-alpha) / Gamma(1-alpha), which the operator carries
+    in its boundary column (its nodal value at t = a is set to 0 by the
+    endpoint convention; the true limit diverges for u(a) != 0).  For data
+    vanishing at the left endpoint the two derivatives coincide.
     """
-    alpha = _check_derivative_order(alpha)
-    if u.samples[0] == 0.0:
-        return caputo_derivative(u, alpha)
-    m = operator_matrix(u.grid, alpha, "caputo")
-    shifted = u.samples - u.samples[0]
-    out = m.apply(shifted) + u.samples[0] * _rl_derivative_singular_profile(u.grid, alpha)
-    return GridFn(u.grid, out, name=u.name)
+    return _evaluate(u, alpha, "rl-derivative")
 
 
 def reflect(u: GridFn) -> GridFn:
@@ -342,10 +341,10 @@ def reflect(u: GridFn) -> GridFn:
 def right_rl_derivative(u: GridFn, alpha: float) -> GridFn:
     """Right-sided Riemann-Liouville derivative by the mirror construction.
 
-    Defined as reflect(left derivative(reflect(u))): the chain rule of the
+    Equal to reflect(left derivative(reflect(u))): the chain rule of the
     reflection t -> a + b - t carries the sign, so alpha = 1 yields -u'.
     """
-    return reflect(rl_derivative(reflect(u), alpha))
+    return _evaluate(u, alpha, "right-rl-derivative")
 
 
 def sequential_caputo(u: GridFn, alpha: float, beta: float) -> GridFn:
@@ -393,38 +392,23 @@ def hadamard_integral(u: GridFn, alpha: float) -> GridFn:
     Returned samples live on the companion grid: sample j is the operator
     value at t = a exp(sigma_j).
     """
-    _check_integral_order(alpha)
-    if u.grid.a <= 0.0:
-        raise DomainError("hadamard operators require a > 0")
-    m = operator_matrix(u.grid, alpha, "hadamard-integral")
-    return GridFn(m.grid, m.apply(to_log_grid(u).samples), name=u.name)
+    return _evaluate(u, alpha, "hadamard-integral")
 
 
-def hadamard_derivative(u: GridFn, alpha: float,
-                        allow_order_one: bool = False) -> GridFn:
-    """Hadamard fractional derivative of order alpha in (0, 1).
+def hadamard_derivative(u: GridFn, alpha: float) -> GridFn:
+    """Hadamard fractional derivative of order alpha in (0, 1].
 
-    With ``allow_order_one`` the boundary order alpha = 1 is accepted and
-    evaluates the limit operator t u'(t) (the first derivative on the
-    logarithmic axis).  Output samples live on the companion grid.
+    The boundary order alpha = 1 evaluates the limit operator t u'(t) (the
+    first derivative on the logarithmic axis).  Output samples live on the
+    companion grid.
     """
-    alpha = float(alpha)
-    if u.grid.a <= 0.0:
-        raise DomainError("hadamard operators require a > 0")
-    if alpha == 1.0:
-        if not allow_order_one:
-            raise DomainError(
-                "hadamard derivative requires alpha in (0, 1); "
-                "pass allow_order_one=True for the t*u'(t) limit"
-            )
+    if float(alpha) == 1.0:
         # differentiate on the original grid and resample the smooth result:
         # resampling first and differencing after would amplify the
         # interpolation sawtooth by 1/h
-        m = operator_matrix(u.grid, 1.0, "caputo")
-        tu = GridFn(u.grid, u.grid.nodes * m.apply(u.samples), name=u.name)
-        return to_log_grid(tu)
-    m = operator_matrix(u.grid, alpha, "hadamard-derivative")
-    return GridFn(m.grid, m.apply(to_log_grid(u).samples), name=u.name)
+        du = caputo_derivative(u, 1.0)
+        return to_log_grid(GridFn(u.grid, u.grid.nodes * du.samples, name=u.name))
+    return _evaluate(u, alpha, "hadamard-derivative")
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(20)

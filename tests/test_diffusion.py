@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,7 @@ from fracineq import (
     EnergyTrace,
     GridFn,
     NormKind,
+    SizeError,
     assemble_stiffness,
     caputo_derivative,
     check_apriori,
@@ -22,6 +25,7 @@ from fracineq import (
     uniform_grid,
 )
 from fracineq.diffusion import MAX_STEPS
+from fracineq.grids import MAX_DENSE_N
 
 
 def make_problem(alpha=0.75, n=64, T=0.05, dt=1e-3, profile=None):
@@ -86,6 +90,19 @@ def test_stiffness_rejects_bad_alpha():
         assemble_stiffness(grid, 0.5)
     with pytest.raises(DomainError):
         assemble_stiffness(grid, 1.2)
+
+
+def test_stiffness_size_is_limited_before_allocation():
+    grid = uniform_grid(0.0, 1.0, MAX_DENSE_N + 1)
+    tracemalloc.start()
+    try:
+        for alpha in (0.75, 1.0):
+            with pytest.raises(SizeError, match=f"limited to n <= {MAX_DENSE_N}"):
+                assemble_stiffness(grid, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_problem_validation():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracineq import DomainError, GridFn, NormKind, norm, refine, uniform_grid
+from fracineq import DomainError, GridFn, NormKind, SizeError, norm, refine, uniform_grid
+from fracineq.grids import MAX_N
 
 # oracle for the weighted example: integral_1^2 (1 - 1/x)^2 dx = 3/2 - 2 ln 2
 WEIGHTED_EXAMPLE = math.sqrt(1.5 - 2.0 * math.log(2.0))  # 0.3372026673680228
@@ -30,6 +32,19 @@ def test_uniform_grid_rejects_bad_interval():
         uniform_grid(1.0, 0.0, 4)
     with pytest.raises(DomainError):
         uniform_grid(0.0, 1.0, 1)
+
+
+def test_grid_size_is_limited_before_allocation():
+    assert MAX_N >= 2**20
+    tracemalloc.start()
+    try:
+        for n in (MAX_N + 1, 10**12):
+            with pytest.raises(SizeError, match=f"n <= {MAX_N}"):
+                uniform_grid(0.0, 1.0, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_refine_shares_nodes_bit_exactly():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracineq import (
     DomainError,
     GridFn,
+    SizeError,
     caputo_derivative,
     from_log_grid,
     gamma_fn,
@@ -31,7 +32,7 @@ from fracineq import (
     to_log_grid,
     uniform_grid,
 )
-from fracineq import operators
+from fracineq import grids, operators
 from fracineq.operators import OPERATOR_KINDS
 from conftest import order_fit
 
@@ -260,13 +261,14 @@ def test_hadamard_derivative_log_power_rule():
     assert out.samples[-1] == pytest.approx(oracle, rel=1e-5)
 
 
-def test_hadamard_derivative_rejects_order_one_without_flag():
+def test_hadamard_derivative_order_one_is_the_t_derivative_limit():
     u = grid_fn(1.0, 2.0, 512, np.log)
-    with pytest.raises(DomainError):
-        hadamard_derivative(u, 1.0)
-    out = hadamard_derivative(u, 1.0, allow_order_one=True)
+    out = hadamard_derivative(u, 1.0)
     # t u'(t) = 1 for u = log t; central differences plus one resampling
     assert np.allclose(out.samples, 1.0, atol=1e-5)
+    tu = GridFn(u.grid, u.grid.nodes * caputo_derivative(u, 1.0).samples)
+    assert out.grid == log_companion_grid(u.grid)
+    assert np.array_equal(out.samples, to_log_grid(tu).samples)
 
 
 def test_hadamard_fundamental_identity_under_refinement():
@@ -429,6 +431,107 @@ def test_operator_memory_is_linear_in_n():
         tracemalloc.stop()
         operators._cached_build.cache_clear()
     assert peak < 256 * 2**20
+
+
+# --- one evaluation path per kind -------------------------------------------
+
+PUBLIC = {
+    "rl-integral": rl_integral,
+    "rl-derivative": rl_derivative,
+    "caputo": caputo_derivative,
+    "right-rl-derivative": right_rl_derivative,
+    "hadamard-integral": hadamard_integral,
+    "hadamard-derivative": hadamard_derivative,
+}
+
+# the Hadamard derivative of order 1 is the t u'(t) limit, not a kind
+KIND_ORDERS = [(kind, alpha) for kind in OPERATOR_KINDS for alpha in (0.4, 1.0)
+               if (kind, alpha) != ("hadamard-derivative", 1.0)]
+
+
+@pytest.mark.parametrize("n", [16, 383, 384, 1000])
+@pytest.mark.parametrize("kind,alpha", KIND_ORDERS)
+def test_public_function_applies_its_kind_bit_for_bit(kind, alpha, n):
+    # u(a) != 0 and u(b) != 0, so the boundary columns of both sides count
+    u = grid_fn(0.5, 2.0, n, lambda t: 1.5 + np.sin(3.0 * t))
+    m = operator_matrix(u.grid, alpha, kind)
+    x = to_log_grid(u) if kind.startswith("hadamard") else u
+    out = PUBLIC[kind](u, alpha)
+    assert out.grid == m.grid
+    assert np.array_equal(out.samples, m.apply(x.samples))
+
+
+@pytest.mark.parametrize("n", [256, 4096, 2**16])
+@pytest.mark.parametrize("alpha", [0.3, 0.75])
+def test_rl_derivative_is_caputo_plus_boundary_profile(alpha, n):
+    # D^alpha u = d^alpha (u - u(a)) + u(a) (t-a)^(-alpha) / Gamma(1-alpha);
+    # the kind folds the profile into its boundary column
+    u = grid_fn(0.0, 1.0, n, lambda t: 2.0 + np.cos(5.0 * t))
+    u0 = u.samples[0]
+    expect = caputo_derivative(GridFn(u.grid, u.samples - u0), alpha).samples.copy()
+    expect[1:] += u0 * u.grid.nodes[1:] ** -alpha / gamma_fn(1.0 - alpha)
+    got = rl_derivative(u, alpha).samples
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    mirrored = reflect(rl_derivative(reflect(u), alpha)).samples
+    assert np.array_equal(right_rl_derivative(u, alpha).samples, mirrored)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_order_one_derivatives_share_the_finite_differences(n):
+    u = grid_fn(0.0, 1.0, n, lambda t: 2.0 + np.cos(5.0 * t))
+    left = caputo_derivative(u, 1.0).samples
+    assert np.array_equal(rl_derivative(u, 1.0).samples, left)
+    mirrored = reflect(caputo_derivative(reflect(u), 1.0)).samples
+    assert np.array_equal(right_rl_derivative(u, 1.0).samples, mirrored)
+
+
+INTEGRAL_MESSAGE = "fractional integral requires finite alpha > 0 (got {})"
+DERIVATIVE_MESSAGE = "fractional derivative requires alpha in (0, 1] (got {})"
+HADAMARD_MESSAGE = "hadamard derivative requires alpha in (0, 1) (got {})"
+MESSAGE_CASES = (
+    [(kind, alpha, INTEGRAL_MESSAGE) for kind in ("rl-integral", "hadamard-integral")
+     for alpha in (0.0, -0.5, math.nan, math.inf)]
+    + [(kind, alpha, DERIVATIVE_MESSAGE)
+       for kind in ("caputo", "rl-derivative", "right-rl-derivative")
+       for alpha in (0.0, -0.5, 1.5, math.nan, math.inf)]
+    + [("hadamard-derivative", alpha, HADAMARD_MESSAGE)
+       for alpha in (0.0, -0.5, 1.5, math.nan, math.inf)]
+)
+
+
+@pytest.mark.parametrize("kind,alpha,message", MESSAGE_CASES)
+def test_invalid_order_message(kind, alpha, message):
+    u = grid_fn(0.5, 1.5, 16, np.cos)
+    with pytest.raises(DomainError) as info:
+        PUBLIC[kind](u, alpha)
+    assert str(info.value) == message.format(float(alpha))
+
+
+@pytest.mark.parametrize("kind,alpha", [("hadamard-integral", 0.5), ("hadamard-integral", 1.0),
+                                        ("hadamard-derivative", 0.5),
+                                        ("hadamard-derivative", 1.0)])
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_hadamard_left_endpoint_message(kind, alpha, a):
+    u = grid_fn(a, 1.5, 16, np.cos)
+    with pytest.raises(DomainError) as info:
+        PUBLIC[kind](u, alpha)
+    assert str(info.value) == "hadamard operators require a > 0"
+
+
+def test_dense_order_one_is_limited_before_allocation():
+    grids.check_dense(uniform_grid(0.0, 1.0, grids.MAX_DENSE_N), "a matrix")
+    big = uniform_grid(0.0, 1.0, grids.MAX_DENSE_N + 1)
+    tracemalloc.start()
+    try:
+        for kind in ("caputo", "rl-derivative", "right-rl-derivative"):
+            with pytest.raises(SizeError, match="dense matrix, limited to n <= 8192"):
+                operator_matrix(big, 1.0, kind)
+        with pytest.raises(SizeError):
+            hadamard_derivative(GridFn(big, big.nodes + 1.0), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_apply_rejects_wrong_length():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from fracineq import (
     uniform_grid,
     GridFn,
 )
+from fracineq import cli
 from fracineq.cli import main
+from fracineq.operators import OPERATOR_KINDS
 from fracineq.report import emit_csv, emit_json, format_float
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -207,6 +210,62 @@ def test_cli_converge_reports_order():
     orders = [row["order"] for row in parsed["results"]]
     assert orders[0] is None
     assert orders[1] == pytest.approx(1.5, abs=0.2)
+
+
+def test_cli_converge_csv_matches_json():
+    argv = ["converge", "--operator", "caputo", "--alpha", "0.5", "--expr", "t^2",
+            "--a", "0", "--b", "1", "--n", "128,256,512", "--no-timestamp"]
+    code, out = run_cli(argv + ["--out", "csv"])
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == "n,sup_diff,order" and lines[-1] == ""
+    code, text = run_cli(argv)
+    rows = json.loads(text)["results"]
+    expect = [f"{row['n']},{format_float(row['sup_diff'])},"
+              + ("" if row["order"] is None else format_float(row["order"]))
+              for row in rows]
+    assert lines[1:-1] == expect
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_converge_non_finite_is_numeric_error(capsys):
+    # exp(1000) overflows: the same values that op and --out json refuse
+    argv = ["converge", "--operator", "rl-integral", "--alpha", "0.5", "--expr", "exp(t)",
+            "--a", "0", "--b", "1000", "--n", "8,16", "--no-timestamp"]
+    for out_format in ("csv", "json"):
+        code, out = run_cli(argv + ["--out", out_format])
+        assert code == 4 and out == "", out_format
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_operators_are_the_kinds():
+    assert set(cli._OPERATORS) == set(OPERATOR_KINDS)
+
+
+@pytest.mark.parametrize("argv", [
+    # the node array alone would take 7.28 TiB
+    ["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "t", "--a", "0", "--b", "1",
+     "--n", "1000000000000"],
+    # a dense order-1 derivative or diffusion stiffness would take 74.5 GiB
+    ["op", "--operator", "caputo", "--alpha", "1", "--expr", "t", "--a", "0", "--b", "1",
+     "--n", "100000"],
+    ["verify", "--family", "hardy", "--alpha", "1", "--p", "2", "--a", "1", "--b", "2",
+     "--n", "100000", "--corpus", "powers:1"],
+    ["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "100000", "--T", "1",
+     "--dt", "0.5"],
+])
+def test_cli_oversized_grid_is_param_error(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, out = run_cli(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "n <=" in err and "Traceback" not in err
+    assert peak < 32 * 2**20
 
 
 def test_cli_diffuse_expression_initial_data():
