@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each subcommand handler returns ``(rows, exit_code)``: a list of row dicts
+with a fixed key order.  ``main`` renders the rows once, either in the JSON
+envelope (``report.emit_payload_json``) or, for the commands whose rows are
+flat (op, converge, diffuse), as one CSV table (``report.emit_csv``).
+
 Exit codes: 0 all checks passed, 1 some certificate failed, 2 usage error,
 3 parameter/hypothesis validation error, 4 internal numeric error.
 """
@@ -36,15 +41,7 @@ from .operators import (
     rl_derivative,
     rl_integral,
 )
-from .report import (
-    certificate_row,
-    emit_csv,
-    emit_payload_json,
-    emit_samples_csv,
-    format_float,
-    rfc3339_now,
-    sweep_rows,
-)
+from .report import certificate_row, emit_csv, emit_payload_json, rfc3339_now, sweep_rows
 
 _OPERATORS = {
     "rl-integral": rl_integral,
@@ -72,18 +69,15 @@ _CASE_FLAGS = (
 )
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list_of(kind: type):
+    """argparse type for a comma-separated list of `kind` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         if with_n:
             p.add_argument("--n", type=int, default=1024, help="number of subintervals")
 
-    def add_output(p, default="json"):
-        p.add_argument("--out", choices=("json", "csv"), default=default)
+    def add_output(p, formats=("json",)):
+        # the first format is the default; only flat rows can be CSV
+        p.add_argument("--out", choices=formats, default=formats[0])
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit generated_at (for byte-identical output)")
 
@@ -108,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--family", required=True,
                      choices=sorted(f.value for f in Family))
     for flag, _field in _CASE_FLAGS:
-        ver.add_argument(f"--{flag.replace('_', '-')}", type=_float_list,
+        ver.add_argument(f"--{flag.replace('_', '-')}", type=_list_of(float),
                          default=None, help="value or comma list (lattice axis)")
     add_interval(ver)
     ver.add_argument("--corpus", required=True,
@@ -122,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--alpha", type=float, required=True)
     op.add_argument("--expr", required=True)
     add_interval(op)
-    add_output(op)
+    add_output(op, ("json", "csv"))
 
     sh = sub.add_parser("sharpness", help="search for the ratio-maximizing function")
     sh.add_argument("--family", required=True,
@@ -141,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--alpha", type=float, required=True)
     conv.add_argument("--expr", required=True)
     add_interval(conv, with_n=False)
-    conv.add_argument("--n", type=_int_list, required=True,
+    conv.add_argument("--n", type=_list_of(int), required=True,
                       help="comma-separated grid ladder, e.g. 256,512,1024")
-    add_output(conv)
+    add_output(conv, ("json", "csv"))
 
     diff = sub.add_parser("diffuse", help="run the fractional diffusion simulator")
     diff.add_argument("--alpha", type=float, required=True)
@@ -152,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--dt", type=float, required=True)
     diff.add_argument("--u0", default=None,
                       help="initial profile expression in t (default: t - a)")
-    add_output(diff, default="csv")
+    add_output(diff, ("csv", "json"))
 
     return parser
 
@@ -185,81 +180,59 @@ def _parse_corpus(text: str, grid) -> CorpusSpec:
                      "(expected powers:..., poly:..., or expr:...)")
 
 
-def _build_cases(args) -> list[InequalityCase]:
+def _case_fields(args) -> dict:
+    """Case fields given on the command line; --alpha is required."""
+    given = {field_name: getattr(args, flag) for flag, field_name in _CASE_FLAGS
+             if getattr(args, flag) is not None}
+    if "alpha" not in given:
+        raise ParamError(f"{args.family}: flag --alpha is required")
+    return given
+
+
+def _cmd_verify(args) -> tuple[list[dict], int]:
     family = Family(args.family)
-    axes = []
-    names = []
-    for flag, field_name in _CASE_FLAGS:
-        values = getattr(args, flag)
-        if values is not None:
-            axes.append(values)
-            names.append(field_name)
-    if "alpha" not in names:
-        raise ParamError(f"{family.value}: flag --alpha is required")
-    cases = []
-    for combo in itertools.product(*axes):
-        kwargs = dict(zip(names, combo))
-        cases.append(validate_case(InequalityCase(
-            family=family, a=args.a, b=args.b, **kwargs)))
-    return cases
-
-
-def _cmd_verify(args, command: str, stamp: str | None) -> int:
-    cases = _build_cases(args)
+    axes = _case_fields(args)
+    cases = [validate_case(InequalityCase(family=family, a=args.a, b=args.b,
+                                          **dict(zip(axes, combo))))
+             for combo in itertools.product(*axes.values())]
     grid = uniform_grid(args.a, args.b, args.n)
     corpus = generate(_parse_corpus(args.corpus, grid))
-    if args.out != "json":
-        raise ParamError("verify reports are JSON (use --out json)")
-    cells = sweep(Family(args.family), cases, corpus, disc_tol=args.tol)
-    print(emit_payload_json(sweep_rows(cells), command, stamp))
+    cells = sweep(family, cases, corpus, disc_tol=args.tol)
     all_ok = all(c.certificate is not None and c.certificate.passed for c in cells)
-    return 0 if all_ok else 1
+    return sweep_rows(cells), 0 if all_ok else 1
 
 
-def _operator_axis(name: str, u: GridFn, out: GridFn) -> np.ndarray:
-    if name.startswith("hadamard"):
-        return u.grid.a * np.exp(out.grid.nodes)
-    return out.grid.nodes
+def _apply_operator(args, ast, n: int) -> tuple[GridFn, GridFn]:
+    """The expression sampled on the n-interval grid, and the operator applied to it."""
+    grid = uniform_grid(args.a, args.b, n)
+    u = GridFn(grid, eval_expr(ast, grid.nodes), name=args.expr)
+    return u, _OPERATORS[args.operator](u, args.alpha)
 
 
-def _cmd_op(args, command: str, stamp: str | None) -> int:
-    grid = uniform_grid(args.a, args.b, args.n)
-    u = GridFn(grid, eval_expr(parse_expr(args.expr), grid.nodes), name=args.expr)
-    out = _OPERATORS[args.operator](u, args.alpha)
-    ts = _operator_axis(args.operator, u, out)
-    if args.out == "csv":
-        sys.stdout.write(emit_samples_csv(ts, out.samples))
-    else:
-        rows = [{"t": float(t), "value": float(v)} for t, v in zip(ts, out.samples)]
-        print(emit_payload_json(rows, command, stamp))
-    return 0
+def _cmd_op(args) -> tuple[list[dict], int]:
+    u, out = _apply_operator(args, parse_expr(args.expr), args.n)
+    ts = out.grid.nodes
+    if args.operator.startswith("hadamard"):
+        ts = u.grid.a * np.exp(ts)  # the companion grid back on the t axis
+    return [{"t": float(t), "value": float(v)} for t, v in zip(ts, out.samples)], 0
 
 
-def _cmd_sharpness(args, command: str, stamp: str | None) -> int:
-    family = Family(args.family)
-    kwargs = {field_name: getattr(args, flag) for flag, field_name in _CASE_FLAGS
-              if getattr(args, flag) is not None}
-    if "alpha" not in kwargs:
-        raise ParamError(f"{family.value}: flag --alpha is required")
-    case = InequalityCase(family=family, a=args.a, b=args.b, **kwargs)
+def _cmd_sharpness(args) -> tuple[list[dict], int]:
+    case = InequalityCase(family=Family(args.family), a=args.a, b=args.b,
+                          **_case_fields(args))
     result = sharpness_search(case, budget=args.budget, seed=args.seed,
                               degree=args.degree, grid_n=args.n)
     rows = [{"best": certificate_row(result.certificate),
              "coefficients": list(result.coefficients)}]
-    print(emit_payload_json(rows, command, stamp))
-    return 0 if result.certificate.passed else 1
+    return rows, 0 if result.certificate.passed else 1
 
 
-def _cmd_converge(args, command: str, stamp: str | None) -> int:
+def _cmd_converge(args) -> tuple[list[dict], int]:
     ladder = args.n
     if len(ladder) < 2:
         raise ParamError("converge needs at least two grid sizes")
     ast = parse_expr(args.expr)
-    outputs = []
-    for n in ladder:
-        grid = uniform_grid(args.a, args.b, n)
-        u = GridFn(grid, eval_expr(ast, grid.nodes), name=args.expr)
-        outputs.append(_OPERATORS[args.operator](u, args.alpha))
+    outputs = [_apply_operator(args, ast, n)[1] for n in ladder]
     diffs = []
     for coarse, fine in zip(outputs, outputs[1:]):
         interp = np.interp(coarse.grid.nodes, fine.grid.nodes, fine.samples)
@@ -271,18 +244,10 @@ def _cmd_converge(args, command: str, stamp: str | None) -> int:
             order = float(np.log(diffs[idx - 1] / diffs[idx])
                           / np.log(ladder[idx + 1] / ladder[idx]))
         rows.append({"n": int(n), "sup_diff": diffs[idx], "order": order})
-    if args.out == "csv":
-        lines = ["n,sup_diff,order"]
-        for row in rows:
-            order = "" if row["order"] is None else format_float(row["order"])
-            lines.append(f"{row['n']},{format_float(row['sup_diff'])},{order}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        print(emit_payload_json(rows, command, stamp))
-    return 0
+    return rows, 0
 
 
-def _cmd_diffuse(args, command: str, stamp: str | None) -> int:
+def _cmd_diffuse(args) -> tuple[list[dict], int]:
     grid = uniform_grid(args.a, args.b, args.n)
     if args.u0 is None:
         samples = grid.nodes - grid.a
@@ -296,14 +261,10 @@ def _cmd_diffuse(args, command: str, stamp: str | None) -> int:
     problem = DiffusionProblem(grid, args.alpha, GridFn(grid, samples, name=name),
                                T=args.T, dt=args.dt)
     trace = run_diffusion(problem)
-    if args.out == "csv":
-        sys.stdout.write(emit_csv(trace))
-    else:
-        rows = [{"t": float(t), "energy": float(e),
-                 "bound": float(trace.energy[0] * np.exp(-2.0 * trace.lam * t))}
-                for t, e in zip(trace.times, trace.energy)]
-        print(emit_payload_json(rows, command, stamp))
-    return 0
+    i0 = trace.energy[0]
+    return [{"t": float(t), "energy": float(e),
+             "bound": float(i0 * np.exp(-2.0 * trace.lam * t))}
+            for t, e in zip(trace.times, trace.energy)], 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,7 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         "diffuse": _cmd_diffuse,
     }
     try:
-        return handlers[args.cmd](args, command, stamp)
+        rows, code = handlers[args.cmd](args)
+        if args.out == "csv":
+            sys.stdout.write(emit_csv(rows))
+        else:
+            print(emit_payload_json(rows, command, stamp))
+        return code
     except (ParamError, DomainError, HypothesisError, ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

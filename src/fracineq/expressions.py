@@ -10,8 +10,11 @@ than unary minus):
     primary := NUMBER | 't' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := sin | cos | exp | log | sqrt | abs
 
-Unknown identifiers are rejected at parse time.  Evaluation is IEEE double
-arithmetic and raises EvalError on domain violations.
+Unknown identifiers are rejected at parse time, and so is nesting deeper
+than MAX_DEPTH levels, where each operator, call and parenthesised group is
+one level (the parser, the evaluator and ``pretty`` recurse once per level).
+Evaluation is IEEE double arithmetic and raises EvalError on domain
+violations.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import numpy as np
 from .errors import EvalError, ParseError
 
 __all__ = ["ExprNode", "Num", "Var", "Neg", "BinOp", "Call",
-           "parse_expr", "eval_expr", "pretty"]
+           "MAX_DEPTH", "parse_expr", "eval_expr", "pretty"]
+
+MAX_DEPTH = 100  # up to 6 parser frames a level: 600 at the limit, under Python's 1000
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 _CONSTANTS = {"pi": np.pi}
@@ -117,9 +122,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent; each method returns (node, nesting depth)."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.level = 0  # levels entered and not yet left
 
     @property
     def cur(self) -> _Token:
@@ -136,56 +144,75 @@ class _Parser:
                              self.cur.offset, (what,))
         return self.advance()
 
-    def expr(self) -> ExprNode:
-        node = self.term()
+    @staticmethod
+    def check(depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             tok.offset)
+        return depth
+
+    def nested(self, parse, tok: _Token):
+        """parse() one level down; refused before the recursion gets deep."""
+        self.level = self.check(self.level + 1, tok)
+        node, depth = parse()
+        self.level -= 1
+        return node, self.check(depth + 1, tok)
+
+    def expr(self):
+        node, depth = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.term()
+            node = BinOp(tok.text, node, right)
+            depth = self.check(max(depth, right_depth) + 1, tok)
+        return node, depth
 
-    def term(self) -> ExprNode:
-        node = self.unary()
+    def term(self):
+        node, depth = self.unary()
         while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right, right_depth = self.unary()
+            node = BinOp(tok.text, node, right)
+            depth = self.check(max(depth, right_depth) + 1, tok)
+        return node, depth
 
-    def unary(self) -> ExprNode:
+    def unary(self):
         if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            return Neg(self.unary())
+            node, depth = self.nested(self.unary, self.advance())
+            return Neg(node), depth
         return self.power()
 
-    def power(self) -> ExprNode:
-        base = self.primary()
+    def power(self):
+        base, depth = self.primary()
         if self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            tok = self.advance()
+            exponent, exponent_depth = self.nested(self.unary, tok)
+            return BinOp("^", base, exponent), self.check(max(depth + 1, exponent_depth), tok)
+        return base, depth
 
-    def primary(self) -> ExprNode:
+    def primary(self):
         tok = self.cur
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 0
         if tok.kind == "ident":
             self.advance()
             if tok.text == "t":
-                return Var()
+                return Var(), 0
             if tok.text in _CONSTANTS:
-                return Num(_CONSTANTS[tok.text])
+                return Num(_CONSTANTS[tok.text]), 0
             if tok.text in _FUNCTIONS:
                 self.expect("lparen", "'('")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, tok)
                 self.expect("rparen", "')'")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), depth
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset,
                              ("t", "pi") + _FUNCTIONS)
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            node, depth = self.nested(self.expr, tok)
             self.expect("rparen", "')'")
-            return node
+            return node, depth
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.offset,
                          ("number", "t", "pi", "function", "'('"))
 
@@ -193,7 +220,7 @@ class _Parser:
 def parse_expr(text: str) -> ExprNode:
     """Parse expression text into an AST; whitespace-insensitive."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _depth = parser.expr()
     if parser.cur.kind != "eof":
         raise ParseError(f"trailing input {parser.cur.text!r}", parser.cur.offset)
     return node

@@ -1,8 +1,8 @@
-"""Deterministic report serialization: JSON certificates, CSV traces.
+"""Deterministic report serialization: rows to one JSON envelope or one CSV table.
 
-Floats are rendered with 17 significant digits so every double round-trips
-losslessly; key order is fixed, so identical inputs give byte-identical
-output.
+A report is a list of row dicts with a fixed key order.  Floats are rendered
+with 17 significant digits, so every double round-trips losslessly and
+identical rows give byte-identical output in either format.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .diffusion import EnergyTrace
 from .errors import NumericError
 from .inequalities import Certificate, InequalityCase, SweepCell
 
@@ -23,10 +22,8 @@ __all__ = [
     "rfc3339_now",
     "certificate_row",
     "sweep_rows",
-    "emit_json",
     "emit_payload_json",
     "emit_csv",
-    "emit_samples_csv",
 ]
 
 VERSION = "0.1.0"
@@ -97,37 +94,22 @@ def sweep_rows(cells: list[SweepCell]) -> list[dict]:
     return rows
 
 
-def _envelope(command: str, results, generated_at: str | None) -> str:
+def emit_payload_json(rows, command: str, generated_at: str | None = None) -> str:
+    """Rows in the report envelope: version, command, generated_at, results."""
     parts = [f'"version":{_serialize(VERSION)}', f'"command":{_serialize(command)}']
     if generated_at is not None:
         parts.append(f'"generated_at":{_serialize(generated_at)}')
-    parts.append(f'"results":{_serialize(results)}')
+    parts.append(f'"results":{_serialize(rows)}')
     return "{" + ",".join(parts) + "}"
 
 
-def emit_json(certs: list[Certificate], command: str,
-              generated_at: str | None = None) -> str:
-    """Certificate report with the fixed key order of the schema."""
-    return _envelope(command, [certificate_row(c) for c in certs], generated_at)
-
-
-def emit_payload_json(rows, command: str, generated_at: str | None = None) -> str:
-    """Generic envelope for non-certificate payloads (sample tables, ...)."""
-    return _envelope(command, rows, generated_at)
-
-
-def emit_csv(trace: EnergyTrace) -> str:
-    """Energy trace as CSV: header t,energy,bound with LF line endings."""
-    i0 = trace.energy[0]
-    lines = ["t,energy,bound"]
-    for t, energy in zip(trace.times, trace.energy):
-        bound = i0 * np.exp(-2.0 * trace.lam * t)
-        lines.append(f"{format_float(t)},{format_float(energy)},{format_float(bound)}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_samples_csv(ts: np.ndarray, values: np.ndarray) -> str:
-    lines = ["t,value"]
-    for t, v in zip(ts, values):
-        lines.append(f"{format_float(t)},{format_float(v)}")
+def emit_csv(rows: list[dict]) -> str:
+    """Flat rows as CSV: header = the row keys, LF line endings, None as an empty cell."""
+    if not rows:
+        return ""
+    header = list(rows[0])
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("" if row[key] is None else _serialize(row[key])
+                              for key in header))
     return "\n".join(lines) + "\n"

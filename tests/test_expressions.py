@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracineq import EvalError, ParseError, eval_expr, parse_expr, pretty
-from fracineq.expressions import BinOp, Call, Neg, Num, Var
+from fracineq.expressions import MAX_DEPTH, BinOp, Call, Neg, Num, Var
 
 
 def test_parse_examples():
@@ -28,6 +28,36 @@ def test_parse_rejects_unknown_identifier():
 def test_parse_rejects_trailing_input():
     with pytest.raises(ParseError):
         parse_expr("t t")
+
+
+# each shape at depth k, the offset of the token refused at depth MAX_DEPTH + 1,
+# and the value at t = 0.5
+DEEP_SHAPES = {
+    "parens": (lambda k: "(" * k + "t" + ")" * k, MAX_DEPTH, 0.5),
+    "minus": (lambda k: "-" * k + "t", MAX_DEPTH, 0.5),
+    "power": (lambda k: "t^" * k + "t", 2 * MAX_DEPTH + 1, None),
+    "calls": (lambda k: "abs(" * k + "t" + ")" * k, 4 * MAX_DEPTH, 0.5),
+    "sum": (lambda k: "+".join(["t"] * (k + 1)), 2 * MAX_DEPTH + 1, 0.5 * (MAX_DEPTH + 1)),
+    "call-then-sum": (lambda k: "abs(" * (k - 1) + "t" + ")" * (k - 1) + "+t",
+                      5 * MAX_DEPTH + 1, 1.0),
+    "group-then-power": (lambda k: "(" * (k - 1) + "t" + ")" * (k - 1) + "^t",
+                         2 * MAX_DEPTH + 1, None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_nesting_depth_limit(shape):
+    text_at, offset, value = DEEP_SHAPES[shape]
+    ast = parse_expr(text_at(MAX_DEPTH))
+    result = eval_expr(ast, 0.5)
+    assert np.isfinite(result) and (value is None or result == value)
+    assert parse_expr(pretty(ast)) == ast
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels") as err:
+        parse_expr(text_at(MAX_DEPTH + 1))
+    assert err.value.offset == offset
+    # refused before Python's recursion limit, not by it
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_expr(text_at(3000))
 
 
 def test_whitespace_insensitive():

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from fracineq import (
-    Certificate,
-    EnergyTrace,
     Family,
     InequalityCase,
     ParamError,
@@ -21,7 +19,8 @@ from fracineq import (
 from fracineq import cli
 from fracineq.cli import main
 from fracineq.operators import OPERATOR_KINDS
-from fracineq.report import emit_csv, emit_json, format_float
+from fracineq.expressions import MAX_DEPTH
+from fracineq.report import certificate_row, emit_csv, emit_payload_json, format_float
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,14 +43,15 @@ def sample_certificate(disc_tol=None):
 # --- serialization ------------------------------------------------------------
 
 def test_emit_json_empty_list():
-    text = emit_json([], "cmd", generated_at=None)
+    text = emit_payload_json([], "cmd", generated_at=None)
     parsed = json.loads(text)
     assert parsed == {"version": "0.1.0", "command": "cmd", "results": []}
 
 
 def test_emit_json_key_order_and_roundtrip():
     cert = sample_certificate()
-    text = emit_json([cert], "cmd", generated_at="2026-01-01T00:00:00+00:00")
+    text = emit_payload_json([certificate_row(cert)], "cmd",
+                             generated_at="2026-01-01T00:00:00+00:00")
     parsed = json.loads(text)
     assert list(parsed.keys()) == ["version", "command", "generated_at", "results"]
     row = parsed["results"][0]
@@ -75,18 +75,26 @@ def test_format_float_is_lossless():
 
 
 def test_emit_csv_shape():
-    trace = EnergyTrace(np.array([0.0, 0.1, 0.2, 0.3]),
-                        np.array([1.0, 0.8, 0.7, 0.65]), lam=0.5)
-    text = emit_csv(trace)
+    args = cli.build_parser().parse_args(["diffuse", "--alpha", "0.75", "--a", "0",
+                                          "--b", "1", "--n", "16", "--T", "0.3",
+                                          "--dt", "0.1"])
+    rows, code = cli._cmd_diffuse(args)
+    assert code == 0
+    text = emit_csv(rows)
     lines = text.split("\n")
     assert lines[0] == "t,energy,bound"
     assert len(lines) == 6 and lines[-1] == ""  # header + 4 rows + trailing LF
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
-    assert float(first[1]) == float(first[2]) == 1.0  # t=0: energy == bound == I(0)
+    assert first[1] == first[2]  # t=0: energy == bound == I(0)
     for line in lines[1:-1]:
         values = [float(v) for v in line.split(",")]
         assert all(np.isfinite(values))
+    # the header is the row keys, an int stays an int and None is an empty cell
+    assert emit_csv([{"n": 8, "sup_diff": 0.5, "order": None},
+                     {"n": 16, "sup_diff": 0.25, "order": 1.0}]) == \
+        "n,sup_diff,order\n8,0.5,\n16,0.25,1\n"
+    assert emit_csv([]) == ""
 
 
 # --- CLI contract ---------------------------------------------------------------
@@ -212,19 +220,47 @@ def test_cli_converge_reports_order():
     assert orders[1] == pytest.approx(1.5, abs=0.2)
 
 
-def test_cli_converge_csv_matches_json():
-    argv = ["converge", "--operator", "caputo", "--alpha", "0.5", "--expr", "t^2",
-            "--a", "0", "--b", "1", "--n", "128,256,512", "--no-timestamp"]
-    code, out = run_cli(argv + ["--out", "csv"])
+@pytest.mark.parametrize("argv, header", [
+    (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "t^2",
+      "--a", "0", "--b", "1", "--n", "16"], "t,value"),
+    # the t column of a Hadamard operator is a e^sigma on the companion grid
+    (["op", "--operator", "hadamard-integral", "--alpha", "0.6", "--expr", "log(t)",
+      "--a", "1", "--b", "3", "--n", "16"], "t,value"),
+    (["converge", "--operator", "caputo", "--alpha", "0.5", "--expr", "t^2",
+      "--a", "0", "--b", "1", "--n", "128,256,512"], "n,sup_diff,order"),
+    (["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "16", "--T", "0.01",
+      "--dt", "0.002"], "t,energy,bound"),
+], ids=["op", "op-hadamard", "converge", "diffuse"])
+def test_cli_csv_matches_json(argv, header):
+    code, out = run_cli(argv + ["--out", "csv", "--no-timestamp"])
     assert code == 0
     lines = out.split("\n")
-    assert lines[0] == "n,sup_diff,order" and lines[-1] == ""
-    code, text = run_cli(argv)
+    assert lines[0] == header and lines[-1] == ""
+    code, text = run_cli(argv + ["--out", "json", "--no-timestamp"])
+    assert code == 0
     rows = json.loads(text)["results"]
-    expect = [f"{row['n']},{format_float(row['sup_diff'])},"
-              + ("" if row["order"] is None else format_float(row["order"]))
+    assert [list(row) for row in rows] == [header.split(",")] * len(rows)
+    expect = [",".join("" if v is None else format_float(v) for v in row.values())
               for row in rows]
     assert lines[1:-1] == expect
+    if argv[0] == "op":
+        ts = [row["t"] for row in rows]
+        assert ts[0] == float(argv[argv.index("--a") + 1])
+        assert ts[-1] == pytest.approx(float(argv[argv.index("--b") + 1]), rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
+     "--n", "16", "--corpus", "powers:1"],
+    ["sharpness", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1",
+     "--b", "2", "--n", "16", "--budget", "2"],
+])
+def test_cli_csv_on_json_only_command_is_usage_error(argv, monkeypatch, capsys):
+    # argparse refuses the format before the command computes anything
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: pytest.fail("computed"))
+    code, out = run_cli(argv + ["--out", "csv"])
+    assert code == 2 and out == ""
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -341,3 +377,22 @@ def test_cli_unrepresentable_order_or_horizon_is_param_error(argv, capsys):
     code, _ = run_cli(argv)
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["op", "--expr", "(" * 3000 + "t" + ")" * 3000],
+    ["op", "--expr=" + "-" * 3000 + "t"],
+    ["op", "--expr", "2^" * 3000 + "t"],
+    ["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--n", "16",
+     "--corpus", "expr:" + "sin(" * 3000 + "t" + ")" * 3000],
+    # flat, but its left-deep tree is 199,999 levels deep
+    ["op", "--expr", "+".join(["t"] * 200_000)],
+], ids=["parens", "minus", "power", "calls", "sum"])
+def test_cli_deep_expression_is_param_error(argv, capsys):
+    if argv[0] == "op":
+        argv = argv + ["--operator", "caputo", "--alpha", "0.5", "--n", "16"]
+    code, out = run_cli(argv + ["--a", "1", "--b", "2"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert f"nested deeper than {MAX_DEPTH} levels at offset" in err
+    assert "Traceback" not in err
