@@ -14,97 +14,27 @@ Main entry points:
   :func:`evaluate_sides`, :func:`sweep`
 * corpus: :class:`CorpusSpec`, :func:`generate`, :func:`sharpness_search`
 * diffusion: :class:`DiffusionProblem`, :func:`run`, :func:`check_apriori`
-"""
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EvalError,
-    FracineqError,
-    HypothesisError,
-    NumericError,
-    ParamError,
-    ParseError,
-    SizeError,
-    SolveError,
-)
-from .grids import Grid, GridFn, NormKind, norm, refine, uniform_grid
-from .special import conjugate, gamma_fn, holder_denominator
-from .quadrature import (
-    reference_caputo,
-    reference_hadamard_derivative,
-    reference_hadamard_integral,
-    reference_integral,
-    reference_rl_integral,
-)
-from .operators import (
-    OperatorMatrix,
-    caputo_derivative,
-    from_log_grid,
-    hadamard_derivative,
-    hadamard_integral,
-    hadamard_integral_direct,
-    log_companion_grid,
-    operator_matrix,
-    reflect,
-    right_rl_derivative,
-    rl_derivative,
-    rl_integral,
-    sequential_caputo,
-    to_log_grid,
-)
-from .inequalities import (
-    Certificate,
-    Family,
-    InequalityCase,
-    SweepCell,
-    constant,
-    evaluate_sides,
-    sobolev_beta_statement_constant,
-    sweep,
-    validate_case,
-)
-from .expressions import eval_expr, parse_expr, pretty
-from .corpus import CorpusSpec, SharpnessResult, generate, sharpness_search
-from .diffusion import (
-    AprioriReport,
-    DiffusionProblem,
-    EnergyTrace,
-    assemble_stiffness,
-    check_apriori,
-    decay_rate,
-    mass_diagonal,
-    run,
-    step,
-)
+The top-level namespace is ``__version__`` plus the union of the ``__all__``
+lists of the modules below; each public name is declared once, in its module.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "FracineqError", "DomainError", "ParamError", "HypothesisError",
-    "ParseError", "EvalError", "ConvergenceError", "SolveError", "NumericError",
-    "SizeError",
-    # grids
-    "Grid", "GridFn", "NormKind", "uniform_grid", "refine", "norm",
-    # special
-    "gamma_fn", "conjugate", "holder_denominator",
-    # oracle quadrature
-    "reference_integral", "reference_rl_integral", "reference_caputo",
-    "reference_hadamard_integral", "reference_hadamard_derivative",
-    # operators
-    "OperatorMatrix", "operator_matrix", "rl_integral", "rl_derivative",
-    "caputo_derivative", "right_rl_derivative", "sequential_caputo",
-    "hadamard_integral", "hadamard_derivative", "hadamard_integral_direct",
-    "log_companion_grid", "to_log_grid", "from_log_grid", "reflect",
-    # inequalities
-    "Family", "InequalityCase", "Certificate", "SweepCell", "validate_case",
-    "constant", "sobolev_beta_statement_constant", "evaluate_sides", "sweep",
-    # corpus
-    "CorpusSpec", "generate", "sharpness_search", "SharpnessResult",
-    "parse_expr", "eval_expr", "pretty",
-    # diffusion
-    "DiffusionProblem", "EnergyTrace", "AprioriReport", "decay_rate",
-    "assemble_stiffness", "mass_diagonal", "step", "run", "check_apriori",
+from .errors import *
+from .grids import *
+from .special import *
+from .quadrature import *
+from .operators import *
+from .inequalities import *
+from .expressions import *
+from .corpus import *
+from .diffusion import *
+
+# importing a submodule binds it here, so each module's own list is at hand
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, grids, special, quadrature, operators, inequalities,
+                   expressions, corpus, diffusion)
+    for name in module.__all__
 ]

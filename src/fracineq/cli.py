@@ -6,12 +6,14 @@ envelope (``report.emit_payload_json``) or, for the commands whose rows are
 flat (op, converge, diffuse), as one CSV table (``report.emit_csv``).
 
 Exit codes: 0 all checks passed, 1 some certificate failed, 2 usage error,
-3 parameter/hypothesis validation error, 4 internal numeric error.
+3 parameter/hypothesis validation error, 4 internal numeric error.  Codes 3
+and 4 are the ``exit_code`` of the error class raised.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 
@@ -19,54 +21,18 @@ import numpy as np
 
 from .corpus import CorpusSpec, generate, sharpness_search
 from .diffusion import DiffusionProblem, run as run_diffusion
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EvalError,
-    FracineqError,
-    HypothesisError,
-    NumericError,
-    ParamError,
-    ParseError,
-    SolveError,
-)
+from .errors import FracineqError, ParamError
 from .expressions import eval_expr, parse_expr
 from .grids import GridFn, uniform_grid
-from .inequalities import Family, InequalityCase, sweep, validate_case
-from .operators import (
-    caputo_derivative,
-    hadamard_derivative,
-    hadamard_integral,
-    right_rl_derivative,
-    rl_derivative,
-    rl_integral,
-)
+from .inequalities import Family, InequalityCase, constant, sweep, validate_case
+from .operators import OPERATORS, log_companion_times
 from .report import certificate_row, emit_csv, emit_payload_json, rfc3339_now, sweep_rows
 
-_OPERATORS = {
-    "rl-integral": rl_integral,
-    "rl-derivative": rl_derivative,
-    "caputo": caputo_derivative,
-    "right-rl-derivative": right_rl_derivative,
-    "hadamard-integral": hadamard_integral,
-    "hadamard-derivative": hadamard_derivative,
-}
-
-_CASE_FLAGS = (
-    # (flag, case field)
-    ("alpha", "alpha"),
-    ("beta", "beta"),
-    ("p", "p"),
-    ("q", "q"),
-    ("r", "r"),
-    ("s", "s"),
-    ("delta", "delta"),
-    ("gamma_w", "gamma"),
-    ("c", "c"),
-    ("d", "d"),
-    ("e", "e"),
-    ("theta", "theta"),
-)
+#: case field -> flag destination for every field but the family and the
+#: interval; the weight power is --gamma-w
+_CASE_FLAGS = {f.name: "gamma_w" if f.name == "gamma" else f.name
+               for f in dataclasses.fields(InequalityCase)
+               if f.name not in ("family", "a", "b")}
 
 
 def _list_of(kind: type):
@@ -102,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="evaluate an inequality family over a corpus")
     ver.add_argument("--family", required=True,
                      choices=sorted(f.value for f in Family))
-    for flag, _field in _CASE_FLAGS:
+    for flag in _CASE_FLAGS.values():
         ver.add_argument(f"--{flag.replace('_', '-')}", type=_list_of(float),
                          default=None, help="value or comma list (lattice axis)")
     add_interval(ver)
@@ -113,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(ver)
 
     op = sub.add_parser("op", help="apply one fractional operator to an expression")
-    op.add_argument("--operator", required=True, choices=sorted(_OPERATORS))
+    op.add_argument("--operator", required=True, choices=sorted(OPERATORS))
     op.add_argument("--alpha", type=float, required=True)
     op.add_argument("--expr", required=True)
     add_interval(op)
@@ -122,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sh = sub.add_parser("sharpness", help="search for the ratio-maximizing function")
     sh.add_argument("--family", required=True,
                     choices=sorted(f.value for f in Family))
-    for flag, _field in _CASE_FLAGS:
+    for flag in _CASE_FLAGS.values():
         sh.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None)
     add_interval(sh, with_n=False)
     sh.add_argument("--n", type=int, default=256)
@@ -132,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sh)
 
     conv = sub.add_parser("converge", help="self-convergence of one operator on a grid ladder")
-    conv.add_argument("--operator", required=True, choices=sorted(_OPERATORS))
+    conv.add_argument("--operator", required=True, choices=sorted(OPERATORS))
     conv.add_argument("--alpha", type=float, required=True)
     conv.add_argument("--expr", required=True)
     add_interval(conv, with_n=False)
@@ -182,7 +148,7 @@ def _parse_corpus(text: str, grid) -> CorpusSpec:
 
 def _case_fields(args) -> dict:
     """Case fields given on the command line; --alpha is required."""
-    given = {field_name: getattr(args, flag) for flag, field_name in _CASE_FLAGS
+    given = {field_name: getattr(args, flag) for field_name, flag in _CASE_FLAGS.items()
              if getattr(args, flag) is not None}
     if "alpha" not in given:
         raise ParamError(f"{args.family}: flag --alpha is required")
@@ -195,6 +161,8 @@ def _cmd_verify(args) -> tuple[list[dict], int]:
     cases = [validate_case(InequalityCase(family=family, a=args.a, b=args.b,
                                           **dict(zip(axes, combo))))
              for combo in itertools.product(*axes.values())]
+    for case in cases:
+        constant(case)  # a constant out of float range stops the run before any cell
     grid = uniform_grid(args.a, args.b, args.n)
     corpus = generate(_parse_corpus(args.corpus, grid))
     cells = sweep(family, cases, corpus, disc_tol=args.tol)
@@ -206,14 +174,13 @@ def _apply_operator(args, ast, n: int) -> tuple[GridFn, GridFn]:
     """The expression sampled on the n-interval grid, and the operator applied to it."""
     grid = uniform_grid(args.a, args.b, n)
     u = GridFn(grid, eval_expr(ast, grid.nodes), name=args.expr)
-    return u, _OPERATORS[args.operator](u, args.alpha)
+    return u, OPERATORS[args.operator](u, args.alpha)
 
 
 def _cmd_op(args) -> tuple[list[dict], int]:
     u, out = _apply_operator(args, parse_expr(args.expr), args.n)
-    ts = out.grid.nodes
-    if args.operator.startswith("hadamard"):
-        ts = u.grid.a * np.exp(ts)  # the companion grid back on the t axis
+    hadamard = args.operator.startswith("hadamard")
+    ts = log_companion_times(u.grid) if hadamard else out.grid.nodes
     return [{"t": float(t), "value": float(v)} for t, v in zip(ts, out.samples)], 0
 
 
@@ -261,10 +228,8 @@ def _cmd_diffuse(args) -> tuple[list[dict], int]:
     problem = DiffusionProblem(grid, args.alpha, GridFn(grid, samples, name=name),
                                T=args.T, dt=args.dt)
     trace = run_diffusion(problem)
-    i0 = trace.energy[0]
-    return [{"t": float(t), "energy": float(e),
-             "bound": float(i0 * np.exp(-2.0 * trace.lam * t))}
-            for t, e in zip(trace.times, trace.energy)], 0
+    return [{"t": float(t), "energy": float(e), "bound": float(bound)}
+            for t, e, bound in zip(trace.times, trace.energy, trace.bound)], 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,15 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(emit_payload_json(rows, command, stamp))
         return code
-    except (ParamError, DomainError, HypothesisError, ParseError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConvergenceError, SolveError, NumericError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except FracineqError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except FracineqError as exc:
+        kind = "error" if exc.exit_code == 3 else "numeric error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entrypoint() -> None:

@@ -64,6 +64,16 @@ def _random_polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn:
     return GridFn(grid, (grid.nodes - grid.a) * q, name=name)
 
 
+def _check_polynomial(grid: Grid, degree: int, seed: int, what: str) -> None:
+    # refused before the coefficient vector or the generator is made
+    if degree < 0:
+        raise ParamError(f"{what} needs degree >= 0 (got {degree})")
+    if degree > grid.n:
+        raise ParamError(f"{what} needs degree <= n = {grid.n} (got {degree})")
+    if seed < 0:
+        raise ParamError(f"{what} needs seed >= 0 (got {seed})")
+
+
 def generate(spec: CorpusSpec) -> list[GridFn]:
     """Materialize the corpus; deterministic for a fixed spec."""
     if spec.kind == "powers":
@@ -74,6 +84,7 @@ def generate(spec: CorpusSpec) -> list[GridFn]:
             )
         return [_power_fn(spec.grid, mu) for mu in spec.mus]
     if spec.kind == "polynomials":
+        _check_polynomial(spec.grid, spec.degree, spec.seed, "polynomial corpus")
         rng = np.random.default_rng(spec.seed)
         out = []
         for i in range(spec.count):
@@ -118,9 +129,8 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     best ratio monotone in the budget for a fixed seed.
     """
     case = validate_case(case)
-    if degree < 0:
-        raise ParamError(f"sharpness search needs degree >= 0 (got {degree})")
     grid = Grid(case.a, case.b, grid_n)
+    _check_polynomial(grid, degree, seed, "sharpness search")
     rng = np.random.default_rng(seed)
 
     def ratio_of(coeffs: np.ndarray) -> tuple[float, Certificate]:

@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import DomainError, SolveError
+from .errors import DomainError, NumericError, SolveError
 from .grids import Grid, GridFn, check_dense
 from .operators import operator_matrix
 from .special import gamma_fn
@@ -114,10 +114,24 @@ class EnergyTrace:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "energy", energy)
 
+    @property
+    def bound(self) -> np.ndarray:
+        """The a-priori bound I(0) exp(-2 lambda t) at each recorded time."""
+        return self.energy[0] * np.exp(-2.0 * self.lam * self.times)
+
 
 def decay_rate(grid: Grid, alpha: float) -> float:
-    """lambda = (2*alpha - 1) * Gamma(alpha)^2 / (b - a)^(2*alpha)."""
-    return (2.0 * alpha - 1.0) * gamma_fn(alpha) ** 2 / (grid.b - grid.a) ** (2.0 * alpha)
+    """lambda = (2*alpha - 1) * Gamma(alpha)^2 / (b - a)^(2*alpha).
+
+    It rounds to 0 when (b - a)^(2*alpha) overflows, and raises NumericError
+    when that power underflows to 0.
+    """
+    try:
+        return (2.0 * alpha - 1.0) * gamma_fn(alpha) ** 2 / (grid.b - grid.a) ** (2.0 * alpha)
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        raise NumericError(f"decay rate overflows (b - a = {grid.b - grid.a})") from None
 
 
 def _quadrature_diagonal(grid: Grid) -> np.ndarray:
@@ -169,7 +183,7 @@ def _factor(system: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray
         # K is exactly symmetric, so the Fortran-ordered transpose is the same
         # matrix and is factored in place
         return scipy.linalg.cho_factor(system.T, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or nan entries
         raise SolveError(f"implicit Euler solve failed: {exc}") from exc
 
 
@@ -239,8 +253,7 @@ def check_apriori(trace: EnergyTrace, rel_slack: float = 1e-12,
     rel_increase = increase / scale
     bad = np.nonzero(rel_increase > rel_slack)[0]
     monotone_ok = bad.size == 0
-    bound = energy[0] * np.exp(-2.0 * trace.lam * trace.times) * (1.0 + tol_exp)
-    excess = energy - bound
+    excess = energy - trace.bound * (1.0 + tol_exp)
     return AprioriReport(
         monotone_ok=monotone_ok,
         max_monotone_violation=float(rel_increase.max()) if rel_increase.size else 0.0,

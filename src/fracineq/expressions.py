@@ -13,8 +13,9 @@ than unary minus):
 Unknown identifiers are rejected at parse time, and so is nesting deeper
 than MAX_DEPTH levels, where each operator, call and parenthesised group is
 one level (the parser, the evaluator and ``pretty`` recurse once per level).
-Evaluation is IEEE double arithmetic and raises EvalError on domain
-violations.
+Evaluation is IEEE double arithmetic.  It raises EvalError on domain
+violations and NumericError when a value overflows or is otherwise not
+finite, without printing numpy's floating-point warnings.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, NumericError, ParseError
 
 __all__ = ["ExprNode", "Num", "Var", "Neg", "BinOp", "Call",
            "MAX_DEPTH", "parse_expr", "eval_expr", "pretty"]
@@ -227,9 +228,12 @@ def parse_expr(text: str) -> ExprNode:
 
 
 def eval_expr(node: ExprNode, t):
-    """Evaluate an AST at a scalar or array argument t."""
+    """Evaluate an AST at a scalar or array argument t; every value must be finite."""
     t = np.asarray(t, dtype=float)
-    value = _eval(node, t)
+    with np.errstate(all="ignore"):
+        value = _eval(node, t)
+    if not np.all(np.isfinite(value)):
+        raise NumericError("expression value overflows or is not a number")
     value = np.broadcast_to(value, t.shape) if t.shape else value
     return float(value) if t.ndim == 0 else np.array(value, dtype=float)
 
@@ -255,8 +259,7 @@ def _eval(node: ExprNode, t):
                 raise EvalError("division by zero")
             return lhs / rhs
         if node.op == "^":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.power(lhs, rhs)
+            out = np.power(lhs, rhs)
             if np.any(~np.isfinite(out)) and np.all(np.isfinite(lhs)) \
                     and np.all(np.isfinite(rhs)):
                 raise EvalError("power is undefined (negative base with "

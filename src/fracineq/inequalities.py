@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import FracineqError, HypothesisError, NumericError, ParamError, SizeError
 from .grids import GridFn, NormKind, lp_trapezoid, norm, uniform_grid
-from .operators import caputo_derivative, hadamard_derivative
+from .operators import caputo_derivative, hadamard_derivative, log_companion_times
 from .special import conjugate, gamma_fn, holder_denominator
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "InequalityCase",
     "Certificate",
     "SweepCell",
-    "gamma_fn",
     "validate_case",
     "constant",
     "sobolev_beta_statement_constant",
@@ -100,6 +99,11 @@ class InequalityCase:
     d: float | None = None
     e: float | None = None
     theta: float | None = None
+
+    def params(self) -> dict:
+        """The fields that are set, other than family, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "family" and getattr(self, f.name) is not None}
 
 
 def _fail(family: Family, clause: str) -> ParamError:
@@ -327,7 +331,7 @@ class _Spec:
               else caputo_derivative(v, order))
         if power == 0.0:
             return norm(dv, NormKind.lp(p))
-        x = case.a * np.exp(dv.grid.nodes) if self.hadamard else dv.grid.nodes
+        x = log_companion_times(v.grid) if self.hadamard else dv.grid.nodes
         return lp_trapezoid(dv.samples, dv.grid.h, p, weights=x ** (power * p))
 
 
@@ -367,8 +371,7 @@ _SPECS = {**_STANDARD, **{
 def _check_fields(case: InequalityCase, spec: _Spec) -> None:
     fam = case.family
     used = spec.fields + ("a", "b", "alpha")
-    given = {f.name: getattr(case, f.name) for f in fields(case)
-             if f.name != "family" and getattr(case, f.name) is not None}
+    given = case.params()
     for name in used:
         if name not in given:
             raise _fail(fam, f"field {name!r}")
@@ -399,7 +402,10 @@ def validate_case(case: InequalityCase) -> InequalityCase:
 
 def _constant(spec: _Spec, case: InequalityCase) -> float:
     span = abs(np.log(case.b / case.a)) if spec.hadamard else case.b - case.a
-    value = spec.constant(case, getattr(case, spec.order), span)
+    try:
+        value = spec.constant(case, getattr(case, spec.order), span)
+    except (OverflowError, ZeroDivisionError):  # a power out of float range
+        value = math.inf
     if not np.isfinite(value) or value <= 0.0:
         raise NumericError(f"{case.family.value}: constant is not a positive finite "
                            f"number ({value})")

@@ -59,6 +59,7 @@ from .special import gamma_fn
 __all__ = [
     "OperatorMatrix",
     "OPERATOR_KINDS",
+    "OPERATORS",
     "operator_matrix",
     "rl_integral",
     "rl_derivative",
@@ -69,19 +70,11 @@ __all__ = [
     "hadamard_derivative",
     "hadamard_integral_direct",
     "log_companion_grid",
+    "log_companion_times",
     "to_log_grid",
     "from_log_grid",
     "reflect",
 ]
-
-OPERATOR_KINDS = (
-    "rl-integral",
-    "rl-derivative",
-    "caputo",
-    "right-rl-derivative",
-    "hadamard-integral",
-    "hadamard-derivative",
-)
 
 #: grids with at least this many subintervals apply the band by FFT; below it
 #: np.convolve is faster (one thread, numpy's pocketfft; measured crossover
@@ -140,7 +133,9 @@ class OperatorMatrix:
 
         Assembled from the parts on each access and kept by no cache; the
         order-1 finite differences start from the stored ``dense`` matrix.
+        Grids above grids.MAX_DENSE_N raise SizeError before any allocation.
         """
+        check_dense(self.grid, "OperatorMatrix.weights")
         if self.dense is not None:
             w = self.dense
         else:
@@ -364,17 +359,20 @@ def log_companion_grid(grid: Grid) -> Grid:
     return Grid(0.0, math.log(grid.b / grid.a), grid.n)
 
 
+def log_companion_times(grid: Grid) -> np.ndarray:
+    """The t-values a exp(sigma_j) of the companion grid's nodes sigma_j."""
+    return grid.a * np.exp(log_companion_grid(grid).nodes)
+
+
 def to_log_grid(u: GridFn) -> GridFn:
     """Resample a grid function onto the companion grid (linear interpolation).
 
     Sample j of the result is u evaluated at t = a exp(sigma_j).
     """
-    tau = log_companion_grid(u.grid)
-    tnodes = u.grid.a * np.exp(tau.nodes)
-    vals = np.interp(tnodes, u.grid.nodes, u.samples)
+    vals = np.interp(log_companion_times(u.grid), u.grid.nodes, u.samples)
     vals[0] = u.samples[0]
     vals[-1] = u.samples[-1]
-    return GridFn(tau, vals, name=u.name)
+    return GridFn(log_companion_grid(u.grid), vals, name=u.name)
 
 
 def from_log_grid(g: GridFn, grid: Grid) -> GridFn:
@@ -411,6 +409,18 @@ def hadamard_derivative(u: GridFn, alpha: float) -> GridFn:
     return _evaluate(u, alpha, "hadamard-derivative")
 
 
+#: the public function of each operator kind; OPERATOR_KINDS is its keys in order
+OPERATORS = {
+    "rl-integral": rl_integral,
+    "rl-derivative": rl_derivative,
+    "caputo": caputo_derivative,
+    "right-rl-derivative": right_rl_derivative,
+    "hadamard-integral": hadamard_integral,
+    "hadamard-derivative": hadamard_derivative,
+}
+
+OPERATOR_KINDS = tuple(OPERATORS)
+
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(20)
 
 
@@ -429,7 +439,7 @@ def hadamard_integral_direct(u: GridFn, alpha: float) -> GridFn:
     tau = ut.grid.nodes
     dtau = ut.grid.h
     a = u.grid.a
-    tnodes = a * np.exp(tau)
+    tnodes = log_companion_times(u.grid)
     vals = ut.samples
     n = ut.grid.n
     out = np.zeros(n + 1)

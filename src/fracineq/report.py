@@ -8,13 +8,13 @@ identical rows give byte-identical output in either format.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .errors import NumericError
-from .inequalities import Certificate, InequalityCase, SweepCell
+from .inequalities import Certificate, SweepCell
 
 __all__ = [
     "VERSION",
@@ -25,9 +25,6 @@ __all__ = [
     "emit_payload_json",
     "emit_csv",
 ]
-
-VERSION = "0.1.0"
-
 
 def format_float(x: float) -> str:
     x = float(x)
@@ -59,15 +56,10 @@ def _serialize(value) -> str:
     raise NumericError(f"cannot serialize {type(value).__name__}")
 
 
-def _params_dict(case: InequalityCase) -> dict:
-    return {f.name: getattr(case, f.name) for f in fields(case)
-            if f.name != "family" and getattr(case, f.name) is not None}
-
-
 def certificate_row(cert: Certificate) -> dict:
     return {
         "family": cert.case.family.value,
-        "params": _params_dict(cert.case),
+        "params": cert.case.params(),
         "function": cert.function,
         "lhs": cert.lhs,
         "constant": cert.constant,
@@ -87,7 +79,7 @@ def sweep_rows(cells: list[SweepCell]) -> list[dict]:
         else:
             rows.append({
                 "family": cell.case.family.value,
-                "params": _params_dict(cell.case),
+                "params": cell.case.params(),
                 "function": cell.function,
                 "error": cell.error,
             })

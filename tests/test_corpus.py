@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fracineq import (
     DomainError,
     Family,
     InequalityCase,
+    ParamError,
     generate,
     sharpness_search,
     uniform_grid,
@@ -73,3 +76,21 @@ def test_sharpness_never_violates_certificate_rule():
     cert = result.certificate
     assert cert.ratio <= 1.0 + cert.disc_tol
     assert cert.passed
+
+
+@pytest.mark.parametrize("degree,seed,message", [
+    (-1, 0, "needs degree >= 0 (got -1)"),
+    (17, 0, "needs degree <= n = 16 (got 17)"),
+    (10**11, 0, "needs degree <= n = 16"),
+    (3, -1, "needs seed >= 0 (got -1)"),
+])
+def test_polynomial_degree_and_seed_are_checked_before_allocation(degree, seed, message):
+    # a degree of 10^11 would allocate 745 GiB of coefficients
+    grid = uniform_grid(1.0, 2.0, 16)
+    with pytest.raises(ParamError, match=re.escape(f"polynomial corpus {message}")):
+        generate(CorpusSpec.polynomials(grid, degree, 1, seed))
+    case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
+    with pytest.raises(ParamError, match=re.escape(f"sharpness search {message}")):
+        sharpness_search(case, budget=3, seed=seed, degree=degree, grid_n=16)
+    (u,) = generate(CorpusSpec.polynomials(grid, 16, 1, 0))
+    assert u.samples[0] == 0.0

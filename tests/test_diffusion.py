@@ -11,7 +11,9 @@ from fracineq import (
     EnergyTrace,
     GridFn,
     NormKind,
+    NumericError,
     SizeError,
+    SolveError,
     assemble_stiffness,
     caputo_derivative,
     check_apriori,
@@ -185,6 +187,27 @@ def test_decay_rate_formula():
     wide = uniform_grid(0.0, 2.0, 16)
     assert decay_rate(wide, 0.75) == pytest.approx(
         0.5 * gamma_fn(0.75) ** 2 / 2.0**1.5, rel=1e-14)
+    # (b - a)^(2 alpha) beyond the float range: lambda rounds to 0 or overflows
+    assert decay_rate(uniform_grid(-1e300, 1e300, 16), 0.75) == 0.0
+    with pytest.raises(NumericError, match="decay rate overflows"):
+        decay_rate(uniform_grid(0.0, 1e-300, 16), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_stiffness_is_solve_error():
+    # h = 6e-302: the L1 band products overflow while the stiffness is assembled
+    grid = uniform_grid(0.0, 1e-300, 16)
+    problem = DiffusionProblem(grid, 0.75, GridFn(grid, grid.nodes / grid.b), T=1.0, dt=0.5)
+    with pytest.raises(SolveError, match="must not contain infs or NaNs"):
+        run(problem)
+
+
+def test_energy_bound_is_the_exponential_of_the_rate():
+    trace = run(make_problem(alpha=0.9, n=32, T=0.02, dt=1e-3))
+    assert trace.bound[0] == trace.energy[0]
+    for t, bound in zip(trace.times, trace.bound):
+        assert bound == trace.energy[0] * np.exp(-2.0 * trace.lam * t)
 
 
 def test_exponential_bound_alpha_one_linear_data():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracineq import EvalError, ParseError, eval_expr, parse_expr, pretty
+from fracineq import EvalError, NumericError, ParseError, eval_expr, parse_expr, pretty
 from fracineq.expressions import MAX_DEPTH, BinOp, Call, Neg, Num, Var
 
 
@@ -78,6 +78,18 @@ def test_eval_domain_errors():
         eval_expr(parse_expr("1 / t"), 0.0)
     with pytest.raises(EvalError):
         eval_expr(parse_expr("(-1)^t"), 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["exp(1000*t)", "0*exp(1000*t)", "exp(1000*t) - exp(1000*t)",
+                                  "1e300*(t + 1)*1e300", "sin(exp(1000*t))"])
+def test_eval_non_finite_is_numeric_error(text):
+    # without a numpy warning; a domain violation keeps its EvalError
+    t = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(NumericError, match="expression value overflows or is not a number"):
+        eval_expr(parse_expr(text), t)
+    with pytest.raises(NumericError):
+        eval_expr(parse_expr(text), 1.0)
 
 
 def test_precedence():

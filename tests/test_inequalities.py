@@ -12,6 +12,7 @@ from fracineq import (
     HypothesisError,
     InequalityCase,
     NormKind,
+    NumericError,
     ParamError,
     caputo_derivative,
     constant,
@@ -503,3 +504,15 @@ def test_certificates_match_snapshot_by_family():
             assert getattr(cert, name) == pytest.approx(row[name], rel=1e-12), \
                 (row["family"], row["function"], name)
         assert cert.passed is row["passed"]
+
+
+@pytest.mark.parametrize("the_case", [
+    # a^(-g-1) b^g overflows the float range
+    case(Family.WEIGHTED_HARDY, a=1.0, b=2.0, alpha=0.9, p=2.0, gamma=1e300),
+    case(Family.CKN, a=1.0, b=2.0, alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1e300, e=0.5),
+    # alpha one ulp above beta + 1/p: the kernel moment rounds to 0
+    case(Family.SOBOLEV_BETA, a=0.0, b=1.0, alpha=0.6666666666666667, beta=0.0, p=1.5),
+])
+def test_constant_out_of_float_range_is_numeric_error(the_case):
+    with pytest.raises(NumericError, match="constant is not a positive finite number"):
+        constant(the_case)

@@ -33,7 +33,7 @@ from fracineq import (
     uniform_grid,
 )
 from fracineq import grids, operators
-from fracineq.operators import OPERATOR_KINDS
+from fracineq.operators import OPERATOR_KINDS, OPERATORS
 from conftest import order_fit
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -435,15 +435,6 @@ def test_operator_memory_is_linear_in_n():
 
 # --- one evaluation path per kind -------------------------------------------
 
-PUBLIC = {
-    "rl-integral": rl_integral,
-    "rl-derivative": rl_derivative,
-    "caputo": caputo_derivative,
-    "right-rl-derivative": right_rl_derivative,
-    "hadamard-integral": hadamard_integral,
-    "hadamard-derivative": hadamard_derivative,
-}
-
 # the Hadamard derivative of order 1 is the t u'(t) limit, not a kind
 KIND_ORDERS = [(kind, alpha) for kind in OPERATOR_KINDS for alpha in (0.4, 1.0)
                if (kind, alpha) != ("hadamard-derivative", 1.0)]
@@ -456,7 +447,7 @@ def test_public_function_applies_its_kind_bit_for_bit(kind, alpha, n):
     u = grid_fn(0.5, 2.0, n, lambda t: 1.5 + np.sin(3.0 * t))
     m = operator_matrix(u.grid, alpha, kind)
     x = to_log_grid(u) if kind.startswith("hadamard") else u
-    out = PUBLIC[kind](u, alpha)
+    out = OPERATORS[kind](u, alpha)
     assert out.grid == m.grid
     assert np.array_equal(out.samples, m.apply(x.samples))
 
@@ -503,7 +494,7 @@ MESSAGE_CASES = (
 def test_invalid_order_message(kind, alpha, message):
     u = grid_fn(0.5, 1.5, 16, np.cos)
     with pytest.raises(DomainError) as info:
-        PUBLIC[kind](u, alpha)
+        OPERATORS[kind](u, alpha)
     assert str(info.value) == message.format(float(alpha))
 
 
@@ -514,7 +505,7 @@ def test_invalid_order_message(kind, alpha, message):
 def test_hadamard_left_endpoint_message(kind, alpha, a):
     u = grid_fn(a, 1.5, 16, np.cos)
     with pytest.raises(DomainError) as info:
-        PUBLIC[kind](u, alpha)
+        OPERATORS[kind](u, alpha)
     assert str(info.value) == "hadamard operators require a > 0"
 
 
@@ -532,6 +523,20 @@ def test_dense_order_one_is_limited_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_weights_are_limited_before_allocation():
+    # the O(n) parts and the spectrum are about 0.4 MB; the dense matrix would be 537 MB
+    big = uniform_grid(0.0, 1.0, grids.MAX_DENSE_N + 1)
+    tracemalloc.start()
+    try:
+        m = operators._build(big, 0.5, "caputo")
+        with pytest.raises(SizeError, match="OperatorMatrix.weights is a dense matrix"):
+            m.weights
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_apply_rejects_wrong_length():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -9,16 +10,24 @@ import numpy as np
 import pytest
 
 from fracineq import (
+    ConvergenceError,
+    DomainError,
+    EvalError,
     Family,
+    HypothesisError,
     InequalityCase,
+    NumericError,
     ParamError,
+    ParseError,
+    SizeError,
+    SolveError,
     evaluate_sides,
     uniform_grid,
     GridFn,
 )
-from fracineq import cli
+from fracineq import cli, operators
 from fracineq.cli import main
-from fracineq.operators import OPERATOR_KINDS
+from fracineq.operators import OPERATOR_KINDS, OPERATORS
 from fracineq.expressions import MAX_DEPTH
 from fracineq.report import certificate_row, emit_csv, emit_payload_json, format_float
 
@@ -276,7 +285,14 @@ def test_cli_converge_non_finite_is_numeric_error(capsys):
 
 
 def test_cli_operators_are_the_kinds():
-    assert set(cli._OPERATORS) == set(OPERATOR_KINDS)
+    # op and converge offer exactly the operator table's kinds
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name in ("op", "converge"):
+        (choices,) = [action.choices for action in commands[name]._actions
+                      if action.dest == "operator"]
+        assert choices == sorted(OPERATORS)
+    assert tuple(OPERATORS) == OPERATOR_KINDS
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,6 +318,70 @@ def test_cli_oversized_grid_is_param_error(argv, capsys):
     err = capsys.readouterr().err
     assert "n <=" in err and "Traceback" not in err
     assert peak < 32 * 2**20
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv,expected", [
+    # numpy's default_rng refuses a negative seed
+    (["sharpness", "--family", "poincare-sobolev", "--alpha", "0.9", "--p", "2", "--a", "0",
+      "--b", "1", "--budget", "5", "--seed", "-1"], 3),
+    # 745 GiB of polynomial coefficients
+    (["sharpness", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
+      "--budget", "3", "--degree", "100000000000"], 3),
+    (["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
+      "--n", "16", "--corpus", "poly:100000000000,1,1"], 3),
+    # constants beyond the float range: b^gamma, and a kernel moment that rounds to 0
+    (["verify", "--family", "weighted-hardy", "--alpha", "0.9", "--p", "2", "--gamma-w",
+      "1e300", "--a", "1", "--b", "2", "--n", "16", "--corpus", "powers:1"], 4),
+    (["verify", "--family", "sobolev-beta", "--alpha", "0.6666666666666667", "--beta", "0",
+      "--p", "1.5", "--a", "0", "--b", "1", "--n", "16", "--corpus", "powers:1"], 4),
+    # the stiffness overflows; the decay rate overflows or underflows
+    (["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1e-300", "--n", "16", "--T", "1",
+      "--dt", "0.5"], 4),
+    (["diffuse", "--alpha", "1", "--a", "0", "--b", "1e-300", "--n", "8", "--T", "1",
+      "--dt", "0.5"], 4),
+    (["diffuse", "--alpha", "0.75", "--a=-1e300", "--b", "1e300", "--n", "16", "--T", "1",
+      "--dt", "0.5"], 4),
+])
+def test_cli_former_tracebacks_exit_with_their_code(argv, expected, capsys):
+    assert run_cli(argv) == (expected, "")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
+     "--n", "16", "--corpus", "expr:0*exp(1000*t)"],
+    ["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "0*exp(1000*t)", "--a", "0",
+     "--b", "1", "--n", "16"],
+    ["op", "--operator", "hadamard-derivative", "--alpha", "1", "--expr", "exp(1000*t)",
+     "--a", "1", "--b", "2", "--n", "16", "--out", "csv"],
+    ["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "16", "--T", "1", "--dt",
+     "0.5", "--u0", "0*exp(1000*t)"],
+])
+def test_cli_non_finite_expression_is_numeric_error(argv, monkeypatch, capsys):
+    # refused when sampled: no operator is built and numpy prints no warning
+    monkeypatch.setattr(operators, "operator_matrix", lambda *args: pytest.fail("built"))
+    assert run_cli(argv) == (4, "")
+    assert capsys.readouterr().err == (
+        "numeric error: expression value overflows or is not a number\n")
+
+
+@pytest.mark.parametrize("error,expected", [
+    (DomainError("x"), 3), (SizeError("x"), 3), (ParamError("x"), 3), (HypothesisError("x"), 3),
+    (ParseError("x", 0), 3), (EvalError("x"), 3), (ConvergenceError("x"), 4),
+    (SolveError("x"), 4), (NumericError("x"), 4),
+])
+def test_cli_exit_code_is_the_error_class_code(error, expected, monkeypatch, capsys):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "_cmd_op", fail)
+    code, out = run_cli(["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "t",
+                         "--a", "0", "--b", "1"])
+    assert (code, out) == (expected, "")
+    prefix = "error" if expected == 3 else "numeric error"
+    assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
 def test_cli_diffuse_expression_initial_data():
