@@ -8,16 +8,29 @@ in floating point, and user expressions in the grammar of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParamError
+from .errors import DomainError, ParamError, SizeError
 from .expressions import eval_expr, parse_expr
-from .grids import Grid, GridFn
-from .inequalities import Certificate, InequalityCase, evaluate_sides, validate_case
+from .grids import MAX_DENSE_N, MAX_N, Grid, GridFn
+from .inequalities import (BasisSides, Certificate, InequalityCase, evaluate_sides,
+                           validate_case)
 
-__all__ = ["CorpusSpec", "generate", "sharpness_search", "SharpnessResult"]
+__all__ = ["CorpusSpec", "generate", "sharpness_search", "SharpnessResult",
+           "MAX_CORPUS_SAMPLES", "IMPROVEMENT_MARGIN"]
+
+#: the most samples a polynomial corpus may hold: the elements of the largest
+#: dense matrix, (MAX_DENSE_N + 1)^2 floats or 537 MB
+MAX_CORPUS_SAMPLES = (MAX_DENSE_N + 1) ** 2
+
+#: a sharpness trial replaces the best function only when its ratio exceeds
+#: the best ratio by this relative margin.  The ratio is invariant under
+#: u -> lambda u, so a trial that only rescales the best function ties with
+#: it, and rounding must not decide the tie.
+IMPROVEMENT_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,8 @@ def _check_polynomial(grid: Grid, degree: int, seed: int, what: str) -> None:
 def generate(spec: CorpusSpec) -> list[GridFn]:
     """Materialize the corpus; deterministic for a fixed spec."""
     if spec.kind == "powers":
+        if not all(math.isfinite(mu) for mu in spec.mus):
+            raise ParamError(f"power corpus needs finite exponents (got {spec.mus})")
         if spec.vanish_at_a and any(mu <= 0.0 for mu in spec.mus):
             raise DomainError(
                 "power corpus with vanish_at_a requires mu > 0 "
@@ -85,6 +100,11 @@ def generate(spec: CorpusSpec) -> list[GridFn]:
         return [_power_fn(spec.grid, mu) for mu in spec.mus]
     if spec.kind == "polynomials":
         _check_polynomial(spec.grid, spec.degree, spec.seed, "polynomial corpus")
+        if spec.count * (spec.grid.n + 1) > MAX_CORPUS_SAMPLES:
+            raise SizeError(
+                f"polynomial corpus needs count * (n + 1) <= {MAX_CORPUS_SAMPLES} "
+                f"(got count={spec.count}, n={spec.grid.n})"
+            )
         rng = np.random.default_rng(spec.seed)
         out = []
         for i in range(spec.count):
@@ -118,52 +138,88 @@ def _candidate(grid: Grid, coeffs: np.ndarray) -> GridFn:
     return _random_polynomial(grid, coeffs, name="sharpness-candidate")
 
 
+def _first_gain(sides: BasisSides, trials: np.ndarray,
+                best_ratio: float) -> tuple[int, float] | None:
+    # the first trial that improves on the best by the margin, or None; a
+    # trial that fails a check before it raises that check's error
+    ratios, error = sides.ratios(trials)
+    gains = np.flatnonzero(ratios > best_ratio * (1.0 + IMPROVEMENT_MARGIN))
+    if gains.size:
+        return int(gains[0]), float(ratios[gains[0]])
+    if error is not None:
+        raise error
+    return None
+
+
 def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
                      degree: int = 4, grid_n: int = 256) -> SharpnessResult:
     """Search polynomial coefficient space for the largest certificate ratio.
 
-    Derivative-free coordinate search with shrinking steps and seeded random
+    Derivative-free compass search with shrinking steps and seeded random
     restarts over functions (t - a) * q(t) with q of the given degree.  The
-    initial iterate is q = 1.  ``budget`` counts certificate evaluations
-    after the initial one; the deterministic proposal sequence makes the
-    best ratio monotone in the budget for a fixed seed.
+    initial iterate is q = 1.  A round tries +step and -step on each
+    coefficient in turn from the best coefficients so far; a trial replaces
+    them only when its ratio exceeds theirs by the relative margin
+    IMPROVEMENT_MARGIN.  A round without a gain halves the step, and below
+    1e-3 a random restart is tried and the step reset to 0.5.  ``budget``
+    counts trials after the initial iterate; the deterministic proposal
+    sequence makes the best ratio monotone in the budget for a fixed seed.
+
+    The search compares ratios on the grid alone.  Each candidate is linear
+    in its coefficients, so a :class:`BasisSides` over the degree + 1
+    monomials scores the rest of a round as one block, keeping the trials up
+    to the first gain.  The returned certificate is :func:`evaluate_sides`
+    of the best coefficients, with its Richardson pass.  The basis holds
+    (degree + 1) (grid_n + 1) floats per array, so that count is limited to
+    the samples of the largest grid, MAX_N + 1.
     """
     case = validate_case(case)
     grid = Grid(case.a, case.b, grid_n)
     _check_polynomial(grid, degree, seed, "sharpness search")
+    if (degree + 1) * (grid.n + 1) > MAX_N + 1:
+        raise SizeError(
+            f"sharpness search needs (degree + 1)(n + 1) <= {MAX_N + 1} "
+            f"(got degree={degree}, n={grid.n})"
+        )
     rng = np.random.default_rng(seed)
-
-    def ratio_of(coeffs: np.ndarray) -> tuple[float, Certificate]:
-        cert = evaluate_sides(case, _candidate(grid, coeffs))
-        return cert.ratio, cert
+    sides = BasisSides(case, [_candidate(grid, e) for e in np.eye(degree + 1)])
+    # the coordinate moves of one round, in proposal order
+    axes = np.repeat(np.arange(degree + 1), 2)
+    signs = np.tile([1.0, -1.0], degree + 1)
 
     best_coeffs = np.zeros(degree + 1)
     best_coeffs[0] = 1.0
-    best_ratio, best_cert = ratio_of(best_coeffs)
+    ratios, error = sides.ratios(best_coeffs[None, :])
+    if error is not None:
+        raise error
+    best_ratio = float(ratios[0])
     evals = 0
     step = 0.5
     while evals < budget:
         improved = False
-        for k in range(degree + 1):
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                trial = best_coeffs.copy()
-                trial[k] += sign * step
-                ratio, cert = ratio_of(trial)
-                evals += 1
-                if ratio > best_ratio:
-                    best_ratio, best_cert, best_coeffs = ratio, cert, trial
-                    improved = True
+        move = 0
+        while move < axes.size and evals < budget:
+            rows = np.arange(move, min(axes.size, move + budget - evals))
+            trials = np.repeat(best_coeffs[None, :], rows.size, axis=0)
+            trials[np.arange(rows.size), axes[rows]] += signs[rows] * step
+            gain = _first_gain(sides, trials, best_ratio)
+            if gain is None:
+                evals += rows.size
+                break
+            hit, best_ratio = gain
+            evals += hit + 1
+            move += hit + 1
+            best_coeffs = trials[hit]
+            improved = True
         if not improved:
             step *= 0.5
             if step < 1e-3:
                 if evals >= budget:
                     break
                 trial = rng.uniform(-1.0, 1.0, degree + 1)
-                ratio, cert = ratio_of(trial)
                 evals += 1
-                if ratio > best_ratio:
-                    best_ratio, best_cert, best_coeffs = ratio, cert, trial
+                gain = _first_gain(sides, trial[None, :], best_ratio)
+                if gain is not None:
+                    best_coeffs, best_ratio = trial, gain[1]
                 step = 0.5
-    return SharpnessResult(best_cert, best_coeffs)
+    return SharpnessResult(evaluate_sides(case, _candidate(grid, best_coeffs)), best_coeffs)

@@ -41,7 +41,7 @@ import scipy.linalg.lapack
 
 from .errors import DomainError, NumericError, SolveError
 from .grids import Grid, GridFn, check_dense
-from .operators import operator_matrix
+from .operators import OperatorMatrix, operator_matrix
 from .special import gamma_fn
 
 __all__ = [
@@ -151,12 +151,22 @@ def assemble_stiffness(grid: Grid, alpha: float) -> np.ndarray:
     K is exactly symmetric and positive semidefinite; u^T K u equals the
     discrete squared L^2 norm of the order-alpha derivative of the function
     with samples (0, u_1, ..., u_n).  For alpha < 1 it is built from the
-    Toeplitz band by the diagonal identity in the module docstring.
+    Toeplitz band by the diagonal identity in the module docstring.  Raises
+    SolveError when an entry is not finite, as on a grid so fine that the
+    weights' products overflow.
     """
     if not 0.5 < alpha <= 1.0:
         raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {alpha})")
     check_dense(grid, "the diffusion stiffness")
-    op = operator_matrix(grid, alpha, "caputo")
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        k = _stiffness(grid, operator_matrix(grid, alpha, "caputo"))
+    # min and max propagate nan, and they make no (n, n) temporary
+    if not (math.isfinite(k.min()) and math.isfinite(k.max())):
+        raise SolveError(f"stiffness is not finite (h = {grid.h:g})")
+    return k
+
+
+def _stiffness(grid: Grid, op: OperatorMatrix) -> np.ndarray:
     if op.band is None:
         d_restricted = op.weights[:, 1:]
         q = _quadrature_diagonal(grid)

@@ -25,6 +25,7 @@ __all__ = [
     "uniform_grid",
     "refine",
     "norm",
+    "nodal_norm",
     "trapezoid",
     "lp_trapezoid",
 ]
@@ -160,19 +161,34 @@ def refine(g: Grid) -> Grid:
     return Grid(g.a, g.b, 2 * g.n)
 
 
-def trapezoid(values: np.ndarray, h: float) -> float:
-    """Composite trapezoid rule for nodal values on a uniform grid."""
+def trapezoid(values: np.ndarray, h: float) -> float | np.ndarray:
+    """Composite trapezoid rule for nodal values on a uniform grid.
+
+    Sums over the last axis: one vector gives a float, a block of rows one
+    value per row, each equal bit for bit to the rule on that row alone.
+    """
     values = np.asarray(values, dtype=float)
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+    # a vector's endpoints are scalars: 0-d arrays would make the sum slower
+    ends = values[0] + values[-1] if values.ndim == 1 else values[..., 0] + values[..., -1]
+    total = h * (values.sum(axis=-1) - 0.5 * ends)
+    return float(total) if values.ndim == 1 else total
 
 
 def lp_trapezoid(values: np.ndarray, h: float, p: float,
-                 weights: np.ndarray | None = None) -> float:
-    """(integral of |values|^p * weights)^(1/p) by composite trapezoid."""
+                 weights: np.ndarray | None = None) -> float | np.ndarray:
+    """(integral of |values|^p * weights)^(1/p) by composite trapezoid.
+
+    Over the last axis, like :func:`trapezoid`; ``weights`` holds one value
+    per node.
+    """
     integrand = np.abs(values) ** p
     if weights is not None:
         integrand = integrand * weights
-    return trapezoid(integrand, h) ** (1.0 / p)
+    total = trapezoid(integrand, h)
+    if integrand.ndim == 1:
+        return total ** (1.0 / p)
+    # the scalar power of each row: np.power on an array may round differently
+    return np.array([t ** (1.0 / p) for t in total.tolist()])
 
 
 def norm(u: GridFn, kind: NormKind) -> float:
@@ -182,22 +198,30 @@ def norm(u: GridFn, kind: NormKind) -> float:
     trapezoid on the nodes; the sup norm is the exact maximum of |samples|.
     Weighted and log-weighted kinds require a > 0.
     """
+    return nodal_norm(u.samples, u.grid, kind)
+
+
+def nodal_norm(values: np.ndarray, grid: Grid, kind: NormKind) -> float | np.ndarray:
+    """:func:`norm` of nodal values on ``grid``, over the last axis.
+
+    One vector of n+1 values gives a float, a block of rows one norm per row.
+    """
     if kind.kind == "sup":
-        return float(np.max(np.abs(u.samples)))
+        peak = np.abs(values).max(axis=-1)
+        return float(peak) if peak.ndim == 0 else peak
     p = kind.p
     if p is None or p < 1.0:
         raise DomainError(f"norm exponent must satisfy p >= 1 (got {p})")
-    g = u.grid
     if kind.kind == "lp":
         weights = None
     elif kind.kind == "weighted":
-        if g.a <= 0.0:
+        if grid.a <= 0.0:
             raise DomainError("weighted L^p norm requires a > 0")
-        weights = g.nodes ** (kind.gamma * p)
+        weights = grid.nodes ** (kind.gamma * p)
     elif kind.kind == "logweighted":
-        if g.a <= 0.0:
+        if grid.a <= 0.0:
             raise DomainError("log-weighted L^p norm requires a > 0")
-        weights = 1.0 / g.nodes
+        weights = 1.0 / grid.nodes
     else:
         raise DomainError(f"unknown norm kind {kind.kind!r}")
-    return lp_trapezoid(u.samples, g.h, p, weights)
+    return lp_trapezoid(values, grid.h, p, weights)

@@ -18,6 +18,12 @@ derivative, which lives on the companion grid sigma = log(t/a), and with
 span = log(b/a) in place of b - a in the constant.  A sequential record
 applies its shape to the inner derivative v = D^inner u, which must then
 vanish at a.
+
+The sides are computed from sample arrays, reduced over the last axis: the
+operand v, its derivative on the right and, for sobolev-beta, its order-beta
+derivative.  ``evaluate_sides`` passes the vectors of one function (and of
+its coarse copy); :class:`BasisSides` passes blocks of linear combinations
+of fixed basis functions, one row per combination.
 """
 
 from __future__ import annotations
@@ -25,13 +31,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import FracineqError, HypothesisError, NumericError, ParamError, SizeError
-from .grids import GridFn, NormKind, lp_trapezoid, norm, uniform_grid
-from .operators import caputo_derivative, hadamard_derivative, log_companion_times
+from .errors import (DomainError, FracineqError, HypothesisError, NumericError, ParamError,
+                     SizeError)
+from .grids import Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, uniform_grid
+from .grids import norm  # noqa: F401  (a target that perfbench/tracer.py wraps here)
+from .operators import (caputo_derivative, hadamard_derivative, log_companion_grid,
+                        log_companion_times)
 from .special import conjugate, gamma_fn, holder_denominator
 
 __all__ = [
@@ -43,6 +52,7 @@ __all__ = [
     "constant",
     "sobolev_beta_statement_constant",
     "evaluate_sides",
+    "BasisSides",
     "sweep",
     "BOUNDARY_TOLERANCE",
 ]
@@ -262,46 +272,68 @@ def _constant_ckn(case: InequalityCase, order: float, span: float) -> float:
     return _constant_weighted_hardy(replace(case, gamma=-case.d), order, span) ** case.delta
 
 
-def _sides_sup(spec, case, v):
-    return norm(v, NormKind.sup()), spec.dnorm(case, v, case.p)
+class _Maps(NamedTuple):
+    """The arrays the sides of a family are computed from, over the last axis.
+
+    ``v`` is the operand on ``grid`` (u, or its inner derivative for a
+    sequential family), ``dv`` the derivative on the right (on the companion
+    grid for a Hadamard family) and ``low`` the order-beta derivative of
+    sobolev-beta.  Each is one row per function: a vector for one function,
+    a block for many.
+    """
+
+    grid: Grid
+    v: np.ndarray
+    dv: np.ndarray
+    low: np.ndarray | None = None
+
+    def combine(self, coeffs: np.ndarray) -> "_Maps":
+        # every step from u to these arrays is linear in u
+        return _Maps(self.grid, coeffs @ self.v, coeffs @ self.dv,
+                     None if self.low is None else coeffs @ self.low)
 
 
-def _sides_lq(spec, case, v):
-    return norm(v, NormKind.lp(case.theta)), spec.dnorm(case, v, case.p)
+def _norm(m: _Maps, kind: NormKind):
+    return nodal_norm(m.v, m.grid, kind)
 
 
-def _sides_beta(spec, case, v):
-    # order beta = 0 is the zeroth derivative of the representation, u - u(a)
-    low = (GridFn(v.grid, v.samples - v.samples[0], name=v.name) if case.beta == 0.0
-           else caputo_derivative(v, case.beta))
-    return norm(low, NormKind.sup()), spec.dnorm(case, v, case.p)
+def _sides_sup(spec, case, m):
+    return _norm(m, NormKind.sup()), spec.dnorm(case, m, case.p)
 
 
-def _sides_hardy(spec, case, v):
-    return norm(v, NormKind.weighted_lp(case.p, -1.0)), spec.dnorm(case, v, case.p)
+def _sides_lq(spec, case, m):
+    return _norm(m, NormKind.lp(case.theta)), spec.dnorm(case, m, case.p)
 
 
-def _sides_weighted_hardy(spec, case, v):
-    return (norm(v, NormKind.weighted_lp(case.p, -(case.gamma + 1.0))),
-            spec.dnorm(case, v, case.p, -case.gamma))
+def _sides_beta(spec, case, m):
+    return nodal_norm(m.low, m.grid, NormKind.sup()), spec.dnorm(case, m, case.p)
 
 
-def _sides_gn(spec, case, v):
-    return (norm(v, NormKind.lp(case.gamma)),
-            spec.dnorm(case, v, case.q) ** case.s
-            * norm(v, NormKind.lp(case.p)) ** (1.0 - case.s))
+def _sides_hardy(spec, case, m):
+    return _norm(m, NormKind.weighted_lp(case.p, -1.0)), spec.dnorm(case, m, case.p)
 
 
-def _sides_ckn(spec, case, v):
-    return (norm(v, NormKind.weighted_lp(case.r, case.c)),
-            spec.dnorm(case, v, case.p, case.d) ** case.delta
-            * norm(v, NormKind.weighted_lp(case.q, case.e)) ** (1.0 - case.delta))
+def _sides_weighted_hardy(spec, case, m):
+    return (_norm(m, NormKind.weighted_lp(case.p, -(case.gamma + 1.0))),
+            spec.dnorm(case, m, case.p, -case.gamma))
 
 
-def _sides_uncertainty(spec, case, v):
-    return (norm(v, NormKind.lp(2.0)) ** 2,
-            spec.dnorm(case, v, case.p)
-            * norm(v, NormKind.weighted_lp(conjugate(case.p), 1.0)))
+def _sides_gn(spec, case, m):
+    return (_norm(m, NormKind.lp(case.gamma)),
+            spec.dnorm(case, m, case.q) ** case.s
+            * _norm(m, NormKind.lp(case.p)) ** (1.0 - case.s))
+
+
+def _sides_ckn(spec, case, m):
+    return (_norm(m, NormKind.weighted_lp(case.r, case.c)),
+            spec.dnorm(case, m, case.p, case.d) ** case.delta
+            * _norm(m, NormKind.weighted_lp(case.q, case.e)) ** (1.0 - case.delta))
+
+
+def _sides_uncertainty(spec, case, m):
+    return (_norm(m, NormKind.lp(2.0)) ** 2,
+            spec.dnorm(case, m, case.p)
+            * _norm(m, NormKind.weighted_lp(conjugate(case.p), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -311,28 +343,38 @@ class _Spec:
     fields: tuple[str, ...]  # required beyond family/a/b/alpha
     check: Callable[[InequalityCase], InequalityCase]  # fills in derived exponents
     constant: Callable[[InequalityCase, float, float], float]  # (case, order, span)
-    sides: Callable[..., tuple[float, float]]  # (record, case, v) -> (lhs, rhs product)
+    sides: Callable[..., tuple]  # (record, case, _Maps) -> (lhs, rhs product)
     weighted: bool = False  # a side carries a power weight of x, so a > 0
     derivable: tuple[str, ...] = ()  # optional, derived by the check when absent
     vanishing: bool = True  # the boundary hypothesis v(a) = 0 applies
     hadamard: bool = False
     inner: str | None = None  # field holding the order of a sequential inner derivative
     order: str = "alpha"  # field holding the order of the derivative on the right
+    low: str | None = None  # field holding the order of the derivative on the left
 
     def operand(self, case: InequalityCase, u: GridFn) -> GridFn:
         return u if self.inner is None else caputo_derivative(u, getattr(case, self.inner))
 
-    def dnorm(self, case: InequalityCase, v: GridFn, p: float, power: float = 0.0) -> float:
-        # L^p norm of the derivative of v against the weight x^(power*p), with
-        # x the physical variable: the node on the t-grid, a e^sigma on the
-        # companion grid (where the plain norm is the dx/x norm)
+    def maps(self, case: InequalityCase, v: GridFn) -> _Maps:
+        low = None
+        if self.low is not None:
+            beta = getattr(case, self.low)
+            # order 0 is the zeroth derivative of the representation, v - v(a)
+            low = (v.samples - v.samples[0] if beta == 0.0
+                   else caputo_derivative(v, beta).samples)
         order = getattr(case, self.order)
-        dv = (hadamard_derivative(v, order) if self.hadamard
-              else caputo_derivative(v, order))
+        dv = hadamard_derivative(v, order) if self.hadamard else caputo_derivative(v, order)
+        return _Maps(v.grid, v.samples, dv.samples, low)
+
+    def dnorm(self, case: InequalityCase, m: _Maps, p: float, power: float = 0.0):
+        # L^p norm of the derivative against the weight x^(power*p), with x
+        # the physical variable: the node on the t-grid, a e^sigma on the
+        # companion grid (where the plain norm is the dx/x norm)
+        grid = log_companion_grid(m.grid) if self.hadamard else m.grid
         if power == 0.0:
-            return norm(dv, NormKind.lp(p))
-        x = log_companion_times(v.grid) if self.hadamard else dv.grid.nodes
-        return lp_trapezoid(dv.samples, dv.grid.h, p, weights=x ** (power * p))
+            return nodal_norm(m.dv, grid, NormKind.lp(p))
+        x = log_companion_times(m.grid) if self.hadamard else grid.nodes
+        return lp_trapezoid(m.dv, grid.h, p, weights=x ** (power * p))
 
 
 _PS = _Spec(("p",), _check_sup_family, _constant_sup, _sides_sup)
@@ -344,7 +386,7 @@ _STANDARD = {
     Family.POINCARE_SOBOLEV_LQ: _Spec(("p", "theta"), _check_sup_family, _constant_lq,
                                       _sides_lq),
     Family.SOBOLEV_BETA: _Spec(("beta", "p"), _check_sobolev_beta, _constant_beta,
-                               _sides_beta, vanishing=False),
+                               _sides_beta, vanishing=False, low="beta"),
     Family.HARDY: _HARDY,
     Family.WEIGHTED_HARDY: _Spec(("p", "gamma"), _check_sup_family,
                                  _constant_weighted_hardy, _sides_weighted_hardy,
@@ -458,10 +500,14 @@ class SweepCell:
     error: str | None = None
 
 
-def _ratio_of(lhs: float, rhs: float) -> float:
+def _ratio_of(lhs, rhs):
+    # lhs / rhs per row, under the caller's errstate; a row with no right-hand
+    # side has ratio 0 when its left side vanishes too and inf otherwise
+    if isinstance(rhs, np.ndarray):
+        return np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, np.inf))
     if rhs > 0.0:
         return lhs / rhs
-    return 0.0 if lhs == 0.0 else float("inf")
+    return 0.0 if lhs == 0.0 else math.inf
 
 
 def _coarsen(u: GridFn) -> GridFn | None:
@@ -482,6 +528,30 @@ def _check_disc_tol(disc_tol: float | None) -> None:
         raise ParamError(f"disc_tol must be finite and >= 0 (got {disc_tol})")
 
 
+def _check_interval(case: InequalityCase, grid: Grid) -> None:
+    if grid.a != case.a or grid.b != case.b:
+        raise ParamError(
+            f"{case.family.value}: function is sampled on [{grid.a}, {grid.b}] "
+            f"but the case interval is [{case.a}, {case.b}]"
+        )
+
+
+def _boundary_error(spec: _Spec, case: InequalityCase, value: float) -> HypothesisError:
+    what = "function" if spec.inner is None else "inner derivative"
+    return HypothesisError(
+        f"{case.family.value}: {what} must vanish at a "
+        f"(|value| = {abs(value):.3e} > {BOUNDARY_TOLERANCE:.0e})"
+    )
+
+
+def _numeric_error(case: InequalityCase, lhs: float, product: float,
+                   cval: float) -> NumericError:
+    return NumericError(
+        f"{case.family.value}: non-finite certificate values "
+        f"(lhs={lhs}, product={product}, constant={cval})"
+    )
+
+
 def evaluate_sides(case: InequalityCase, u: GridFn,
                    disc_tol: float | None = None) -> Certificate:
     """Evaluate both sides of the inequality for one sampled function.
@@ -489,40 +559,33 @@ def evaluate_sides(case: InequalityCase, u: GridFn,
     The discretization tolerance defaults to the Richardson policy
     ``1e-6 + |ratio(n) - ratio(n/2)|``; pass a finite ``disc_tol >= 0`` to
     pin it.  Raises HypothesisError when the function violates the family's
-    boundary hypothesis, ParamError for invalid cases or tolerances.
+    boundary hypothesis, ParamError for invalid cases or tolerances, and
+    NumericError when a side is not finite.
     """
     case = validate_case(case)
     _check_disc_tol(disc_tol)
-    if u.grid.a != case.a or u.grid.b != case.b:
-        raise ParamError(
-            f"{case.family.value}: function is sampled on [{u.grid.a}, {u.grid.b}] "
-            f"but the case interval is [{case.a}, {case.b}]"
-        )
+    _check_interval(case, u.grid)
     spec = _SPECS[case.family]
     v = spec.operand(case, u)
     if spec.vanishing and abs(v.samples[0]) > BOUNDARY_TOLERANCE:
-        what = "function" if spec.inner is None else "inner derivative"
-        raise HypothesisError(
-            f"{case.family.value}: {what} must vanish at a "
-            f"(|value| = {abs(v.samples[0]):.3e} > {BOUNDARY_TOLERANCE:.0e})"
-        )
+        raise _boundary_error(spec, case, v.samples[0])
     cval = _constant(spec, case)
-    lhs, product = spec.sides(spec, case, v)
-    rhs = cval * product
-    ratio = _ratio_of(lhs, rhs)
-    if disc_tol is None:
-        tol = 1e-6
-        coarse = _coarsen(u)
-        if coarse is not None:
-            lhs_c, product_c = spec.sides(spec, case, spec.operand(case, coarse))
-            tol += abs(ratio - _ratio_of(lhs_c, cval * product_c))
-    else:
-        tol = float(disc_tol)
+    # a side out of float range is refused by the finiteness check below
+    with np.errstate(all="ignore"):
+        lhs, product = spec.sides(spec, case, spec.maps(case, v))
+        rhs = cval * product
+        ratio = _ratio_of(lhs, rhs)
+        if disc_tol is None:
+            tol = 1e-6
+            coarse = _coarsen(u)
+            if coarse is not None:
+                m = spec.maps(case, spec.operand(case, coarse))
+                lhs_c, product_c = spec.sides(spec, case, m)
+                tol += abs(ratio - _ratio_of(lhs_c, cval * product_c))
+        else:
+            tol = float(disc_tol)
     if not np.isfinite([lhs, product, cval]).all():
-        raise NumericError(
-            f"{case.family.value}: non-finite certificate values "
-            f"(lhs={lhs}, product={product}, constant={cval})"
-        )
+        raise _numeric_error(case, lhs, product, cval)
     return Certificate(
         case=case,
         function=u.name,
@@ -537,15 +600,68 @@ def evaluate_sides(case: InequalityCase, u: GridFn,
     )
 
 
+class BasisSides:
+    """Both sides of one case for linear combinations of basis functions.
+
+    Every step from a function u to the arrays its sides are computed from
+    is linear: the operand, the derivatives and the Hadamard resampling.  So
+    they are computed once per basis function, and the arrays of the
+    combination with coefficients c are c @ (the basis arrays).
+    :meth:`ratios` scores a block of coefficient rows with one matrix product
+    per array, on the given grid only: it makes no Richardson pass.  The
+    basis holds two or three arrays of (number of functions) x (n+1) floats.
+    """
+
+    def __init__(self, case: InequalityCase, basis: list[GridFn]):
+        case = validate_case(case)
+        grid = basis[0].grid
+        _check_interval(case, grid)
+        if any(u.grid != grid for u in basis):
+            raise DomainError("basis functions must share one grid")
+        spec = _SPECS[case.family]
+        operands = [spec.operand(case, u) for u in basis]
+        self.case = case
+        self.constant = _constant(spec, case)
+        rows = [spec.maps(case, v) for v in operands]
+        self._spec = spec
+        self._maps = _Maps(grid, np.array([m.v for m in rows]), np.array([m.dv for m in rows]),
+                           None if spec.low is None else np.array([m.low for m in rows]))
+
+    def ratios(self, coeffs: np.ndarray) -> tuple[np.ndarray, FracineqError | None]:
+        """The ratio of each row of ``coeffs``, checked in row order.
+
+        Each row gets the checks of :func:`evaluate_sides`: the boundary
+        hypothesis, then finite sides.  Returns the ratios of the rows before
+        the first row that fails a check, and the error that
+        :func:`evaluate_sides` raises for that row (None when every row
+        passes).
+        """
+        spec, case, cval = self._spec, self.case, self.constant
+        m = self._maps.combine(np.asarray(coeffs, dtype=float))
+        with np.errstate(all="ignore"):  # rows out of float range are refused below
+            lhs, product = spec.sides(spec, case, m)
+            ratios = _ratio_of(lhs, cval * product)
+        at_a = m.v[:, 0]
+        unbounded = spec.vanishing & (np.abs(at_a) > BOUNDARY_TOLERANCE)
+        bad = np.flatnonzero(unbounded | ~(np.isfinite(lhs) & np.isfinite(product)))
+        if bad.size == 0:
+            return ratios, None
+        i = bad[0]
+        if unbounded[i]:
+            return ratios[:i], _boundary_error(spec, case, at_a[i])
+        return ratios[:i], _numeric_error(case, float(lhs[i]), float(product[i]), cval)
+
+
 def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
           disc_tol: float | None = None) -> list[SweepCell]:
     """Evaluate the full cases x corpus cross product, lattice-major.
 
     Per-cell errors are captured in the cell instead of aborting the sweep,
     so one invalid case or one hypothesis violation leaves the remaining
-    cells intact.  A SizeError concerns the grid, not the cell, and is
-    raised.  ``disc_tol`` is passed to :func:`evaluate_sides`; an invalid
-    value raises ParamError before any cell is evaluated.
+    cells intact.  A SizeError concerns the grid, not the cell, and a
+    NumericError a computation, not the input; both are raised.
+    ``disc_tol`` is passed to :func:`evaluate_sides`; an invalid value
+    raises ParamError before any cell is evaluated.
     """
     _check_disc_tol(disc_tol)
     cells: list[SweepCell] = []
@@ -558,7 +674,7 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
                         f"family {family.value}"
                     )
                 cells.append(SweepCell(case, u.name, evaluate_sides(case, u, disc_tol)))
-            except SizeError:
+            except (SizeError, NumericError):
                 raise
             except FracineqError as exc:
                 cells.append(SweepCell(case, u.name, None,

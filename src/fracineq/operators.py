@@ -38,13 +38,16 @@ operator stores those O(n) parts and applies the band by direct convolution
 on small grids and by a cached real-FFT spectrum on large ones.  The dense
 (n+1)^2 weight matrix is assembled only on request, except for the order-1
 finite differences, which are kept dense up to grids.MAX_DENSE_N.
-Operators are immutable and cached, so batch evaluations over function
-corpora reuse them.
+Operators are immutable and kept in a least-recently-used cache bounded by
+the bytes of their arrays, so batch evaluations over function corpora reuse
+them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -80,12 +83,6 @@ __all__ = [
 #: np.convolve is faster (one thread, numpy's pocketfft; measured crossover
 #: n = 350-400 on an x86-64 Xeon)
 _FFT_MIN_N = 384
-
-#: the kinds that are dense finite differences at order 1
-_FD_KINDS = ("caputo", "rl-derivative", "right-rl-derivative")
-
-#: dense order-1 matrices up to this many subintervals are cached
-_DENSE_CACHE_MAX_N = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +247,7 @@ def _build(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
             return OperatorMatrix(grid, alpha, kind, dense=_fd1_weights(n, h))
         band, col0 = _l1_caputo_parts(n, alpha, h)
     elif kind == "rl-derivative":
-        caputo = _operator(grid, _check_derivative_order(alpha), "caputo")
+        caputo = _cached_build(grid, _check_derivative_order(alpha), "caputo")
         if alpha == 1.0:
             return replace(caputo, kind=kind)
         # the exact derivative of the constant 1, (t-a)^(-alpha) / Gamma(1-alpha),
@@ -259,7 +256,7 @@ def _build(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
         profile[1:] = (grid.nodes[1:] - grid.a) ** (-alpha) / gamma_fn(1.0 - alpha)
         return replace(caputo, kind=kind, col0=caputo.col0 + profile)
     elif kind == "right-rl-derivative":
-        left = _operator(grid, _check_derivative_order(alpha), "rl-derivative")
+        left = _cached_build(grid, _check_derivative_order(alpha), "rl-derivative")
         return replace(left, kind=kind, mirrored=True)
     elif kind == "hadamard-integral":
         tau = log_companion_grid(grid)
@@ -278,18 +275,74 @@ def _build(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
     return OperatorMatrix(grid, alpha, kind, band, col0)
 
 
-_cached_build = lru_cache(maxsize=32)(_build)
+def _arrays(op: OperatorMatrix) -> list[np.ndarray]:
+    return [a for a in (op.band, op.col0, op.dense, op.spectrum) if a is not None]
 
 
-def _operator(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
-    if alpha == 1.0 and kind in _FD_KINDS and grid.n > _DENSE_CACHE_MAX_N:
-        return _build(grid, alpha, kind)
-    return _cached_build(grid, alpha, kind)
+class _OperatorCache:
+    """Least-recently-used operators, bounded by the bytes of their arrays.
+
+    An array that several cached operators share is counted once: the
+    Riemann-Liouville kinds reuse caputo's band and spectrum, or its dense
+    matrix at order 1.  An operator whose arrays alone exceed ``max_bytes``
+    is built afresh on every request.
+    """
+
+    def __init__(self, build, max_bytes: int):
+        self._build = build
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, OperatorMatrix] = OrderedDict()
+        self._holders: dict[int, list] = {}  # id -> [array, cached operators holding it]
+        self._lock = threading.Lock()
+
+    def __call__(self, grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
+        key = (grid, alpha, kind)
+        op = self._entries.get(key)
+        if op is not None:
+            try:
+                self._entries.move_to_end(key)
+            except KeyError:  # evicted by another thread since the lookup
+                pass
+            return op
+        op = self._build(grid, alpha, kind)
+        if sum(a.nbytes for a in _arrays(op)) <= self.max_bytes:
+            with self._lock:
+                if key not in self._entries:
+                    self._insert(key, op)
+        return op
+
+    def _insert(self, key: tuple, op: OperatorMatrix) -> None:
+        self._entries[key] = op
+        for a in _arrays(op):
+            holder = self._holders.setdefault(id(a), [a, 0])
+            if holder[1] == 0:
+                self.nbytes += a.nbytes
+            holder[1] += 1
+        while self.nbytes > self.max_bytes:
+            _, old = self._entries.popitem(last=False)
+            for a in _arrays(old):
+                holder = self._holders[id(a)]
+                holder[1] -= 1
+                if holder[1] == 0:
+                    del self._holders[id(a)]
+                    self.nbytes -= a.nbytes
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._holders.clear()
+            self.nbytes = 0
+
+
+#: the built operators, at most 256 MiB of arrays: seven operators of order
+#: below 1 at n = 2^20 (32 MiB each), or one dense order-1 matrix at n = 4096
+_cached_build = _OperatorCache(_build, 256 * 2**20)
 
 
 def operator_matrix(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
-    """One operator on one grid, cached (dense order-1 derivatives only when small)."""
-    return _operator(grid, float(alpha), kind)
+    """One operator on one grid, from a cache bounded by the bytes it holds."""
+    return _cached_build(grid, float(alpha), kind)
 
 
 def _evaluate(u: GridFn, alpha: float, kind: str) -> GridFn:

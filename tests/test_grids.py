@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracineq import DomainError, GridFn, NormKind, SizeError, norm, refine, uniform_grid
+from fracineq import (DomainError, GridFn, NormKind, SizeError, lp_trapezoid, nodal_norm, norm,
+                      refine, trapezoid, uniform_grid)
 from fracineq.grids import MAX_N
 
 # oracle for the weighted example: integral_1^2 (1 - 1/x)^2 dx = 3/2 - 2 ln 2
@@ -167,3 +168,30 @@ def test_grid_hash_and_equality():
     assert uniform_grid(0.0, 1.0, 8) != uniform_grid(0.0, 1.0, 16)
     # memoized: repeated requests share one instance
     assert uniform_grid(0.0, 1.0, 8) is uniform_grid(0.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("n", [16, 128, 256, 1024, 4096])
+def test_block_rules_equal_the_rows_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((7, n + 1))
+    weights = rng.uniform(0.5, 2.0, n + 1)
+    h = 1.0 / n
+    sums = trapezoid(block, h)
+    assert sums.shape == (7,)
+    assert all(sums[i] == trapezoid(row, h) for i, row in enumerate(block))
+    assert isinstance(trapezoid(block[0], h), float)
+    for p in (1.7, 2.0, 3.0):
+        for w in (None, weights):
+            norms = lp_trapezoid(block, h, p, w)
+            assert norms.shape == (7,)
+            assert all(norms[i] == lp_trapezoid(row, h, p, w) for i, row in enumerate(block))
+
+
+def test_nodal_norm_of_a_block_is_the_norm_of_each_row():
+    g = uniform_grid(1.0, 2.0, 64)
+    block = np.sin(np.outer([1.0, 2.0, 3.0], g.nodes))
+    for kind in (NormKind.sup(), NormKind.lp(2.5), NormKind.weighted_lp(3.0, -1.5),
+                 NormKind.log_weighted_lp(2.0)):
+        norms = nodal_norm(block, g, kind)
+        assert norms.shape == (3,)
+        assert all(norms[i] == norm(GridFn(g, row), kind) for i, row in enumerate(block))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -516,3 +517,18 @@ def test_certificates_match_snapshot_by_family():
 def test_constant_out_of_float_range_is_numeric_error(the_case):
     with pytest.raises(NumericError, match="constant is not a positive finite number"):
         constant(the_case)
+
+
+def test_sweep_raises_numeric_errors_and_records_hypothesis_errors():
+    grid = uniform_grid(1.0, 2.0, 16)
+    ramp = GridFn(grid, grid.nodes - 1.0, name="ramp")
+    lifted = GridFn(grid, grid.nodes, name="lifted")
+    case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
+    cells = sweep(Family.HARDY, [case], [ramp, lifted])
+    assert cells[0].certificate.passed
+    assert cells[1].error.startswith("HypothesisError: hardy: function must vanish at a")
+    huge = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="hardy: non-finite certificate values"):
+            sweep(Family.HARDY, [case, huge], [ramp])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -431,6 +433,100 @@ def test_operator_memory_is_linear_in_n():
         tracemalloc.stop()
         operators._cached_build.cache_clear()
     assert peak < 256 * 2**20
+
+
+def _op_bytes(m):
+    return sum(a.nbytes for a in (m.band, m.col0, m.dense, m.spectrum) if a is not None)
+
+
+@pytest.fixture
+def cache_budget(monkeypatch):
+    # a cold cache with the given byte budget, emptied again afterwards
+    cache = operators._cached_build
+
+    def set_budget(max_bytes):
+        cache.cache_clear()
+        monkeypatch.setattr(cache, "max_bytes", max_bytes)
+        return cache
+
+    yield set_budget
+    cache.cache_clear()
+
+
+def test_operator_cache_is_bounded_by_bytes(cache_budget):
+    # unbounded, the six kinds at n = 2^20 hold about 136 MB
+    cache = cache_budget(48 * 2**20)
+    grid = uniform_grid(1.0, 2.0, 2**20)
+    log_companion_grid(grid)
+    tracemalloc.start()
+    try:
+        largest = 0
+        for kind in OPERATOR_KINDS:
+            largest = max(largest, _op_bytes(operator_matrix(grid, 0.6, kind)))
+            assert cache.nbytes <= cache.max_bytes
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current <= cache.max_bytes + largest
+
+
+def test_operator_cache_counts_shared_arrays_once(cache_budget):
+    cache = cache_budget(256 * 2**20)
+    grid = uniform_grid(0.0, 1.0, 1024)
+    for alpha in (1.0, 0.5):
+        cache.cache_clear()
+        caputo = operator_matrix(grid, alpha, "caputo")
+        for kind in ("rl-derivative", "right-rl-derivative"):
+            operator_matrix(grid, alpha, kind)
+        # the rl kinds reuse caputo's dense matrix, or its band and spectrum
+        extra = 0 if alpha == 1.0 else operator_matrix(grid, alpha, "rl-derivative").col0.nbytes
+        assert cache.nbytes == _op_bytes(caputo) + extra
+    assert operator_matrix(grid, 0.5, "caputo") is caputo
+
+
+def test_operator_larger_than_the_budget_is_not_cached(cache_budget):
+    cache = cache_budget(2**20)
+    grid = uniform_grid(0.0, 1.0, 1024)
+    dense = operator_matrix(grid, 1.0, "caputo")  # 8.4 MB
+    assert operator_matrix(grid, 1.0, "caputo") is not dense
+    assert cache.nbytes == 0
+    band = operator_matrix(grid, 0.5, "caputo")
+    assert operator_matrix(grid, 0.5, "caputo") is band
+    assert cache.nbytes == _op_bytes(band)
+
+
+def test_operator_cache_accounting_holds_under_threads(cache_budget):
+    # more threads than cores and a short switch interval, with a budget that
+    # evicts on most inserts: a lost update would break the byte count
+    cache = cache_budget(2**16)
+    grids_ = [uniform_grid(0.0, 1.0, n) for n in (400, 500, 600)]
+    requests = [(g, alpha, kind) for g in grids_ for alpha in (0.3, 0.7)
+                for kind in ("caputo", "rl-derivative", "right-rl-derivative")]
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for i in rng.integers(len(requests), size=1000):
+                g, alpha, kind = requests[i]
+                m = operator_matrix(g, alpha, kind)
+                assert (m.grid, m.order, m.kind) == (g, alpha, kind)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    held = {id(a): a.nbytes for m in cache._entries.values() for a in operators._arrays(m)}
+    assert cache.nbytes == sum(held.values()) <= cache.max_bytes
 
 
 # --- one evaluation path per kind -------------------------------------------

@@ -349,6 +349,39 @@ def test_cli_former_tracebacks_exit_with_their_code(argv, expected, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", "2",
+            "--n", "16"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,expected,message", [
+    (HARDY_16 + ["--p", "2", "--corpus", "powers:nan"], 3,
+     "error: power corpus needs finite exponents (got (nan,))"),
+    (HARDY_16 + ["--p", "2", "--corpus", "powers:1,inf"], 3,
+     "error: power corpus needs finite exponents (got (1.0, inf))"),
+    # the norms overflow: |u|^p and the weight x^(-p)
+    (HARDY_16 + ["--p", "1e300", "--corpus", "powers:1"], 4,
+     "numeric error: hardy: non-finite certificate values"),
+    (["verify", "--family", "poincare-sobolev", "--alpha", "0.9", "--p", "1e300", "--a", "0",
+      "--b", "3", "--n", "16", "--corpus", "powers:1"], 4,
+     "numeric error: poincare-sobolev: non-finite certificate values"),
+    # about 42 GB of samples
+    (HARDY_16 + ["--p", "2", "--corpus", "poly:3,100000000,1"], 3,
+     "error: polynomial corpus needs count * (n + 1) <= 67125249 (got count=100000000, n=16)"),
+    (["sharpness", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
+      "--degree", "63", "--n", "65536", "--budget", "3"], 3,
+     "error: sharpness search needs (degree + 1)(n + 1) <= 4194305 (got degree=63, n=65536)"),
+    (["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1e-300", "--n", "16", "--T", "1",
+      "--dt", "0.5"], 4, "numeric error: stiffness is not finite (h = 6.25e-302)"),
+])
+def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
+    # one line on stderr: no traceback, no numpy warning, no report
+    assert run_cli(argv) == (expected, "")
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
