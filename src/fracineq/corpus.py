@@ -162,8 +162,9 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     them only when its ratio exceeds theirs by the relative margin
     IMPROVEMENT_MARGIN.  A round without a gain halves the step, and below
     1e-3 a random restart is tried and the step reset to 0.5.  ``budget``
-    counts trials after the initial iterate; the deterministic proposal
-    sequence makes the best ratio monotone in the budget for a fixed seed.
+    counts trials after the initial iterate and may not be negative; the
+    deterministic proposal sequence makes the best ratio monotone in the
+    budget for a fixed seed.
 
     The search compares ratios on the grid alone.  Each candidate is linear
     in its coefficients, so a :class:`BasisSides` over the degree + 1
@@ -176,6 +177,8 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     case = validate_case(case)
     grid = Grid(case.a, case.b, grid_n)
     _check_polynomial(grid, degree, seed, "sharpness search")
+    if budget < 0:
+        raise ParamError(f"sharpness search needs budget >= 0 (got {budget})")
     if (degree + 1) * (grid.n + 1) > MAX_N + 1:
         raise SizeError(
             f"sharpness search needs (degree + 1)(n + 1) <= {MAX_N + 1} "
@@ -189,10 +192,7 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
 
     best_coeffs = np.zeros(degree + 1)
     best_coeffs[0] = 1.0
-    ratios, error = sides.ratios(best_coeffs[None, :])
-    if error is not None:
-        raise error
-    best_ratio = float(ratios[0])
+    best_ratio = _first_gain(sides, best_coeffs[None, :], -math.inf)[1]  # any ratio beats -inf
     evals = 0
     step = 0.5
     while evals < budget:

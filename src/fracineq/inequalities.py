@@ -19,16 +19,14 @@ span = log(b/a) in place of b - a in the constant.  A sequential record
 applies its shape to the inner derivative v = D^inner u, which must then
 vanish at a.
 
-The sides are computed from sample arrays, reduced over the last axis: the
-operand v, its derivative on the right and, for sobolev-beta, its order-beta
-derivative.  ``evaluate_sides`` passes the vectors of one function (and of
-its coarse copy); :class:`BasisSides` passes blocks of linear combinations
-of fixed basis functions, one row per combination.
+One private stage checks and scores blocks of rows for :func:`sweep`,
+``evaluate_sides`` and :class:`BasisSides`; no row depends on its block.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -37,7 +35,7 @@ import numpy as np
 
 from .errors import (DomainError, FracineqError, HypothesisError, NumericError, ParamError,
                      SizeError)
-from .grids import Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, uniform_grid
+from .grids import MAX_N, Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, uniform_grid
 from .grids import norm  # noqa: F401  (a target that perfbench/tracer.py wraps here)
 from .operators import (caputo_derivative, hadamard_derivative, log_companion_grid,
                         log_companion_times)
@@ -278,8 +276,7 @@ class _Maps(NamedTuple):
     ``v`` is the operand on ``grid`` (u, or its inner derivative for a
     sequential family), ``dv`` the derivative on the right (on the companion
     grid for a Hadamard family) and ``low`` the order-beta derivative of
-    sobolev-beta.  Each is one row per function: a vector for one function,
-    a block for many.
+    sobolev-beta.  Each holds one row per function.
     """
 
     grid: Grid
@@ -295,6 +292,11 @@ class _Maps(NamedTuple):
 
 def _norm(m: _Maps, kind: NormKind):
     return nodal_norm(m.v, m.grid, kind)
+
+
+def _pow(x: np.ndarray, exponent: float) -> np.ndarray:
+    # the scalar power of each row: np.power on an array rounds differently
+    return np.array([value**exponent for value in x.tolist()])
 
 
 def _sides_sup(spec, case, m):
@@ -320,18 +322,18 @@ def _sides_weighted_hardy(spec, case, m):
 
 def _sides_gn(spec, case, m):
     return (_norm(m, NormKind.lp(case.gamma)),
-            spec.dnorm(case, m, case.q) ** case.s
-            * _norm(m, NormKind.lp(case.p)) ** (1.0 - case.s))
+            _pow(spec.dnorm(case, m, case.q), case.s)
+            * _pow(_norm(m, NormKind.lp(case.p)), 1.0 - case.s))
 
 
 def _sides_ckn(spec, case, m):
     return (_norm(m, NormKind.weighted_lp(case.r, case.c)),
-            spec.dnorm(case, m, case.p, case.d) ** case.delta
-            * _norm(m, NormKind.weighted_lp(case.q, case.e)) ** (1.0 - case.delta))
+            _pow(spec.dnorm(case, m, case.p, case.d), case.delta)
+            * _pow(_norm(m, NormKind.weighted_lp(case.q, case.e)), 1.0 - case.delta))
 
 
 def _sides_uncertainty(spec, case, m):
-    return (_norm(m, NormKind.lp(2.0)) ** 2,
+    return (_pow(_norm(m, NormKind.lp(2.0)), 2.0),
             spec.dnorm(case, m, case.p)
             * _norm(m, NormKind.weighted_lp(conjugate(case.p), 1.0)))
 
@@ -355,16 +357,17 @@ class _Spec:
     def operand(self, case: InequalityCase, u: GridFn) -> GridFn:
         return u if self.inner is None else caputo_derivative(u, getattr(case, self.inner))
 
-    def maps(self, case: InequalityCase, v: GridFn) -> _Maps:
+    def maps(self, case: InequalityCase, operands: list[GridFn]) -> _Maps:
+        v = np.array([w.samples for w in operands])
         low = None
         if self.low is not None:
             beta = getattr(case, self.low)
             # order 0 is the zeroth derivative of the representation, v - v(a)
-            low = (v.samples - v.samples[0] if beta == 0.0
-                   else caputo_derivative(v, beta).samples)
-        order = getattr(case, self.order)
-        dv = hadamard_derivative(v, order) if self.hadamard else caputo_derivative(v, order)
-        return _Maps(v.grid, v.samples, dv.samples, low)
+            low = (v - v[:, :1] if beta == 0.0
+                   else np.array([caputo_derivative(w, beta).samples for w in operands]))
+        derivative = hadamard_derivative if self.hadamard else caputo_derivative
+        dv = np.array([derivative(w, getattr(case, self.order)).samples for w in operands])
+        return _Maps(operands[0].grid, v, dv, low)
 
     def dnorm(self, case: InequalityCase, m: _Maps, p: float, power: float = 0.0):
         # L^p norm of the derivative against the weight x^(power*p), with x
@@ -500,29 +503,6 @@ class SweepCell:
     error: str | None = None
 
 
-def _ratio_of(lhs, rhs):
-    # lhs / rhs per row, under the caller's errstate; a row with no right-hand
-    # side has ratio 0 when its left side vanishes too and inf otherwise
-    if isinstance(rhs, np.ndarray):
-        return np.where(rhs > 0.0, lhs / rhs, np.where(lhs == 0.0, 0.0, np.inf))
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else math.inf
-
-
-def _coarsen(u: GridFn) -> GridFn | None:
-    g = u.grid
-    if g.n < 4:
-        return None
-    m = g.n // 2
-    coarse = uniform_grid(g.a, g.b, m)
-    if g.n % 2 == 0:
-        samples = u.samples[::2]
-    else:
-        samples = np.interp(coarse.nodes, g.nodes, u.samples)
-    return GridFn(coarse, samples, name=u.name)
-
-
 def _check_disc_tol(disc_tol: float | None) -> None:
     if disc_tol is not None and not 0.0 <= disc_tol < math.inf:
         raise ParamError(f"disc_tol must be finite and >= 0 (got {disc_tol})")
@@ -530,26 +510,88 @@ def _check_disc_tol(disc_tol: float | None) -> None:
 
 def _check_interval(case: InequalityCase, grid: Grid) -> None:
     if grid.a != case.a or grid.b != case.b:
-        raise ParamError(
-            f"{case.family.value}: function is sampled on [{grid.a}, {grid.b}] "
-            f"but the case interval is [{case.a}, {case.b}]"
-        )
+        raise ParamError(f"{case.family.value}: function is sampled on [{grid.a}, {grid.b}] "
+                         f"but the case interval is [{case.a}, {case.b}]")
 
 
-def _boundary_error(spec: _Spec, case: InequalityCase, value: float) -> HypothesisError:
+def _sides(spec: _Spec, case: InequalityCase, m: _Maps, cval: float):
+    # lhs, rhs norm product and ratio of each row (x/0 is inf, 0/0 is 0)
+    lhs, product = spec.sides(spec, case, m)
+    rhs = cval * product
+    ratio = lhs / rhs
+    if not (rhs > 0.0).all():
+        ratio = np.where(rhs > 0.0, ratio, np.where(lhs == 0.0, 0.0, np.inf))
+    return lhs, product, ratio
+
+
+def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
+           maps: Callable[[list[int]], _Maps], cval: float | None = None):
+    """The certificate stage: the checks and the sides of a block of rows.
+
+    ``at_a`` holds each row's operand value at a; ``maps(rows)`` builds the
+    maps of those rows.  Returns lhs, rhs norm product and ratio of the rows
+    that pass the boundary check, in order, each row's failed check or None,
+    and the constant, computed unless given once a row passes.
+    """
     what = "function" if spec.inner is None else "inner derivative"
-    return HypothesisError(
-        f"{case.family.value}: {what} must vanish at a "
-        f"(|value| = {abs(value):.3e} > {BOUNDARY_TOLERANCE:.0e})"
-    )
+    errors = [HypothesisError(f"{case.family.value}: {what} must vanish at a (|value| = "
+                              f"{abs(x):.3e} > {BOUNDARY_TOLERANCE:.0e})")
+              if spec.vanishing and abs(x) > BOUNDARY_TOLERANCE else None
+              for x in at_a.tolist()]
+    lhs = product = ratio = np.empty(0)
+    rows = [i for i, error in enumerate(errors) if error is None]
+    if rows:
+        cval = _constant(spec, case) if cval is None else cval
+        try:
+            with np.errstate(all="ignore"):  # a side out of float range is refused below
+                lhs, product, ratio = _sides(spec, case, maps(rows), cval)
+        except FracineqError as exc:  # an error of the grid, e.g. an operator scale
+            if isinstance(exc, (SizeError, NumericError)):
+                raise
+            return lhs, product, ratio, [error or exc for error in errors], cval
+        for i, left, right in zip(rows, lhs.tolist(), product.tolist()):
+            if not (math.isfinite(left) and math.isfinite(right)):
+                errors[i] = NumericError(f"{case.family.value}: non-finite certificate values "
+                                         f"(lhs={left}, product={right}, constant={cval})")
+    return lhs, product, ratio, errors, cval
 
 
-def _numeric_error(case: InequalityCase, lhs: float, product: float,
-                   cval: float) -> NumericError:
-    return NumericError(
-        f"{case.family.value}: non-finite certificate values "
-        f"(lhs={lhs}, product={product}, constant={cval})"
-    )
+def _certificates(spec: _Spec, case: InequalityCase, fns: list[GridFn],
+                  disc_tol: float | None) -> list[Certificate | FracineqError]:
+    """The certificates, or row errors, of functions on one grid, in order.
+
+    The stage scores them as one block and, unless ``disc_tol`` is given,
+    the coarse copies of the passing rows as another: the Richardson pass.
+    Raises SizeError and the first NumericError.
+    """
+    try:
+        _check_interval(case, fns[0].grid)
+        operands = [spec.operand(case, u) for u in fns]
+    except FracineqError as exc:
+        if isinstance(exc, (SizeError, NumericError)):
+            raise
+        return [exc] * len(fns)
+    lhs, product, ratio, cells, cval = _score(
+        spec, case, np.array([v.samples[0] for v in operands]),
+        lambda rows: spec.maps(case, [operands[i] for i in rows]))
+    numeric = [error for error in cells if isinstance(error, NumericError)]
+    if numeric:
+        raise numeric[0]
+    rows = [i for i, error in enumerate(cells) if error is None]  # the scored rows
+    tol = np.full(len(rows), 1e-6 if disc_tol is None else float(disc_tol))
+    g = fns[0].grid
+    if disc_tol is None and rows and g.n >= 4:
+        coarse = uniform_grid(g.a, g.b, g.n // 2)  # every other node; interpolated for odd n
+        samples = [fns[i].samples[::2] if g.n % 2 == 0
+                   else np.interp(coarse.nodes, g.nodes, fns[i].samples) for i in rows]
+        with np.errstate(all="ignore"):
+            m = spec.maps(case, [spec.operand(case, GridFn(coarse, x)) for x in samples])
+            tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
+    for k, i in enumerate(rows):
+        cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]), cval,
+                               float(cval * product[k]), float(ratio[k]), float(tol[k]),
+                               bool(ratio[k] <= 1.0 + tol[k]), g.n)
+    return cells
 
 
 def evaluate_sides(case: InequalityCase, u: GridFn,
@@ -564,92 +606,43 @@ def evaluate_sides(case: InequalityCase, u: GridFn,
     """
     case = validate_case(case)
     _check_disc_tol(disc_tol)
-    _check_interval(case, u.grid)
-    spec = _SPECS[case.family]
-    v = spec.operand(case, u)
-    if spec.vanishing and abs(v.samples[0]) > BOUNDARY_TOLERANCE:
-        raise _boundary_error(spec, case, v.samples[0])
-    cval = _constant(spec, case)
-    # a side out of float range is refused by the finiteness check below
-    with np.errstate(all="ignore"):
-        lhs, product = spec.sides(spec, case, spec.maps(case, v))
-        rhs = cval * product
-        ratio = _ratio_of(lhs, rhs)
-        if disc_tol is None:
-            tol = 1e-6
-            coarse = _coarsen(u)
-            if coarse is not None:
-                m = spec.maps(case, spec.operand(case, coarse))
-                lhs_c, product_c = spec.sides(spec, case, m)
-                tol += abs(ratio - _ratio_of(lhs_c, cval * product_c))
-        else:
-            tol = float(disc_tol)
-    if not np.isfinite([lhs, product, cval]).all():
-        raise _numeric_error(case, lhs, product, cval)
-    return Certificate(
-        case=case,
-        function=u.name,
-        lhs=float(lhs),
-        rhs_norm_product=float(product),
-        constant=cval,
-        rhs=float(rhs),
-        ratio=float(ratio),
-        disc_tol=float(tol),
-        passed=bool(ratio <= 1.0 + tol),
-        grid_n=u.grid.n,
-    )
+    [result] = _certificates(_SPECS[case.family], case, [u], disc_tol)
+    if isinstance(result, FracineqError):
+        raise result
+    return result
 
 
 class BasisSides:
     """Both sides of one case for linear combinations of basis functions.
 
-    Every step from a function u to the arrays its sides are computed from
-    is linear: the operand, the derivatives and the Hadamard resampling.  So
-    they are computed once per basis function, and the arrays of the
-    combination with coefficients c are c @ (the basis arrays).
-    :meth:`ratios` scores a block of coefficient rows with one matrix product
-    per array, on the given grid only: it makes no Richardson pass.  The
-    basis holds two or three arrays of (number of functions) x (n+1) floats.
+    Every step from u to the arrays of its sides is linear, so a combination
+    with coefficients c has the arrays c @ (the basis arrays).
     """
 
     def __init__(self, case: InequalityCase, basis: list[GridFn]):
         case = validate_case(case)
-        grid = basis[0].grid
-        _check_interval(case, grid)
-        if any(u.grid != grid for u in basis):
+        _check_interval(case, basis[0].grid)
+        if any(u.grid != basis[0].grid for u in basis):
             raise DomainError("basis functions must share one grid")
         spec = _SPECS[case.family]
         operands = [spec.operand(case, u) for u in basis]
-        self.case = case
-        self.constant = _constant(spec, case)
-        rows = [spec.maps(case, v) for v in operands]
-        self._spec = spec
-        self._maps = _Maps(grid, np.array([m.v for m in rows]), np.array([m.dv for m in rows]),
-                           None if spec.low is None else np.array([m.low for m in rows]))
+        self.case, self.constant, self._spec = case, _constant(spec, case), spec
+        self._maps = spec.maps(case, operands)
 
     def ratios(self, coeffs: np.ndarray) -> tuple[np.ndarray, FracineqError | None]:
-        """The ratio of each row of ``coeffs``, checked in row order.
+        """Grid ratios of the rows before the first failing one, and that row's error."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        m = self._maps.combine(coeffs)
+        _, _, ratio, errors, _ = _score(
+            self._spec, self.case, m.v[:, 0],
+            lambda rows: m if len(rows) == len(coeffs) else self._maps.combine(coeffs[rows]),
+            self.constant)
+        bad = next((i for i, error in enumerate(errors) if error is not None), len(errors))
+        return ratio[:bad], (errors + [None])[bad]
 
-        Each row gets the checks of :func:`evaluate_sides`: the boundary
-        hypothesis, then finite sides.  Returns the ratios of the rows before
-        the first row that fails a check, and the error that
-        :func:`evaluate_sides` raises for that row (None when every row
-        passes).
-        """
-        spec, case, cval = self._spec, self.case, self.constant
-        m = self._maps.combine(np.asarray(coeffs, dtype=float))
-        with np.errstate(all="ignore"):  # rows out of float range are refused below
-            lhs, product = spec.sides(spec, case, m)
-            ratios = _ratio_of(lhs, cval * product)
-        at_a = m.v[:, 0]
-        unbounded = spec.vanishing & (np.abs(at_a) > BOUNDARY_TOLERANCE)
-        bad = np.flatnonzero(unbounded | ~(np.isfinite(lhs) & np.isfinite(product)))
-        if bad.size == 0:
-            return ratios, None
-        i = bad[0]
-        if unbounded[i]:
-            return ratios[:i], _boundary_error(spec, case, at_a[i])
-        return ratios[:i], _numeric_error(case, float(lhs[i]), float(product[i]), cval)
+
+#: the most samples a sweep block holds per array, those of the largest grid
+_BLOCK_SAMPLES = MAX_N + 1
 
 
 def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
@@ -659,24 +652,30 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
     Per-cell errors are captured in the cell instead of aborting the sweep,
     so one invalid case or one hypothesis violation leaves the remaining
     cells intact.  A SizeError concerns the grid, not the cell, and a
-    NumericError a computation, not the input; both are raised.
-    ``disc_tol`` is passed to :func:`evaluate_sides`; an invalid value
-    raises ParamError before any cell is evaluated.
+    NumericError a computation, not the input; both are raised.  Each case
+    is validated once and scores its corpus in blocks of consecutive
+    functions on one grid, at most MAX_N + 1 samples per array.  An invalid
+    ``disc_tol`` raises ParamError before any cell is evaluated.
     """
     _check_disc_tol(disc_tol)
+    blocks = []
+    for grid, run in itertools.groupby(corpus, key=lambda u: u.grid):
+        run, size = list(run), max(1, _BLOCK_SAMPLES // (grid.n + 1))
+        blocks += [run[i:i + size] for i in range(0, len(run), size)]
     cells: list[SweepCell] = []
     for case in cases:
-        for u in corpus:
-            try:
-                if case.family is not family:
-                    raise ParamError(
-                        f"case family {case.family.value} does not match sweep "
-                        f"family {family.value}"
-                    )
-                cells.append(SweepCell(case, u.name, evaluate_sides(case, u, disc_tol)))
-            except (SizeError, NumericError):
+        try:
+            if case.family is not family:
+                raise ParamError(f"case family {case.family.value} does not match sweep "
+                                 f"family {family.value}")
+            valid = validate_case(case)
+            results = [r for block in blocks
+                       for r in _certificates(_SPECS[valid.family], valid, block, disc_tol)]
+        except FracineqError as exc:
+            if isinstance(exc, (SizeError, NumericError)):
                 raise
-            except FracineqError as exc:
-                cells.append(SweepCell(case, u.name, None,
-                                       error=f"{type(exc).__name__}: {exc}"))
+            results = [exc] * len(corpus)
+        cells += [SweepCell(case, u.name, None, error=f"{type(r).__name__}: {r}")
+                  if isinstance(r, FracineqError) else SweepCell(case, u.name, r)
+                  for u, r in zip(corpus, results)]
     return cells

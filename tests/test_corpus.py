@@ -84,6 +84,14 @@ def test_sharpness_monotone_in_budget():
     assert ratios[0] <= ratios[1] <= ratios[2]
 
 
+def test_sharpness_refuses_a_negative_budget():
+    # before the basis is built; a negative budget used to return the initial iterate
+    case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.9, p=2.0)
+    with pytest.raises(ParamError, match=re.escape("sharpness search needs budget >= 0 "
+                                                   "(got -5)")):
+        sharpness_search(case, budget=-5, grid_n=16)
+
+
 def test_sharpness_never_violates_certificate_rule():
     case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
     result = sharpness_search(case, budget=120, seed=3)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -532,3 +533,133 @@ def test_sweep_raises_numeric_errors_and_records_hypothesis_errors():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="hardy: non-finite certificate values"):
             sweep(Family.HARDY, [case, huge], [ramp])
+
+
+# --- one certificate stage: sweep blocks against lone evaluations -------------
+
+def _first_lattice_cases():
+    # the first benchmark lattice case of every family, as the snapshot fixture
+    # holds them on [1, 2], plus gagliardo-nirenberg at s = 0.25
+    import json
+    from pathlib import Path
+
+    snap = json.loads((Path(__file__).parent / "fixtures"
+                       / "certificates_by_family.json").read_text())
+    cases = {case(Family(row["family"]), a=1.0, b=2.0, **row["params"])
+             for row in snap["certificates"]}
+    for family in (Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG):
+        cases.add(case(family, a=1.0, b=2.0, alpha=0.9, p=2.0, q=2.0, s=0.25))
+    return sorted(cases, key=lambda c: (c.family.value, c.s or 0.0))
+
+
+def _lone(the_case, u):
+    # the cell that one evaluate_sides call gives
+    try:
+        return evaluate_sides(the_case, u), None
+    except (HypothesisError, ParamError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_sweep_cells_equal_lone_evaluations(n):
+    grid = uniform_grid(1.0, 2.0, n)
+    cubics = generate(CorpusSpec.polynomials(grid, 3, 40, 11))
+    lifted = GridFn(grid, grid.nodes, name="lifted")  # u(a) = 1
+    elsewhere = linear_fn(1.0, 3.0, n, name="on [1, 3]")
+    corpus = cubics[:3] + [lifted, elsewhere] + cubics[3:]
+    by_name = {u.name: u for u in corpus}
+    for the_case in _first_lattice_cases():
+        family = the_case.family
+        other = Family.HARDY if family is not Family.HARDY else Family.CKN
+        mismatch = case(other, a=1.0, b=2.0, alpha=0.9, p=2.0)
+        cases = [the_case, replace(the_case, p=0.5), mismatch]
+        cells = sweep(family, cases, corpus)
+        assert [(c.case, c.function) for c in cells] == \
+            [(k, u.name) for k in cases for u in corpus]
+        for cell in cells:
+            if cell.case is mismatch:
+                assert cell.error == (f"ParamError: case family {other.value} does not "
+                                      f"match sweep family {family.value}")
+                continue
+            certificate, error = _lone(cell.case, by_name[cell.function])
+            assert cell.error == error, (family, cell.function)
+            # dataclass equality: every Certificate field with ==
+            assert cell.certificate == certificate, (family, cell.function)
+        assert sum(c.certificate is not None for c in cells) >= len(cubics)
+
+
+def test_sweep_computes_no_constant_before_a_row_passes_the_boundary_check():
+    grid = uniform_grid(1.0, 2.0, 16)
+    lifted = GridFn(grid, grid.nodes, name="lifted")
+    ramp = GridFn(grid, grid.nodes - 1.0, name="ramp")
+    huge = case(Family.WEIGHTED_HARDY, a=1.0, b=2.0, alpha=0.9, p=2.0, gamma=1e300)
+    cells = sweep(Family.WEIGHTED_HARDY, [huge], [lifted, lifted])
+    assert [c.error.split(":")[0] for c in cells] == ["HypothesisError"] * 2
+    with pytest.raises(NumericError) as raised:
+        sweep(Family.WEIGHTED_HARDY, [huge], [lifted, ramp])
+    with pytest.raises(NumericError) as expected:
+        evaluate_sides(huge, ramp)
+    assert str(raised.value) == str(expected.value)
+    assert "constant is not a positive finite number" in str(raised.value)
+
+
+def test_sweep_validates_each_case_once(monkeypatch):
+    from fracineq import inequalities
+
+    calls = []
+
+    def counting(the_case):
+        calls.append(the_case)
+        return validate_case(the_case)
+
+    monkeypatch.setattr(inequalities, "validate_case", counting)
+    grid = uniform_grid(1.0, 2.0, 32)
+    corpus = generate(CorpusSpec.polynomials(grid, 3, 6, 2))
+    cases = [case(Family.HARDY, a=1.0, b=2.0, alpha=al, p=2.0) for al in (0.6, 0.8, 1.0)]
+    cells = sweep(Family.HARDY, cases, corpus)
+    assert len(cells) == 18 and all(c.certificate.passed for c in cells)
+    assert calls == cases
+
+
+def test_sweep_split_into_blocks_gives_the_same_cells(monkeypatch):
+    from fracineq import inequalities
+
+    grid = uniform_grid(1.0, 2.0, 33)
+    corpus = generate(CorpusSpec.polynomials(grid, 3, 7, 5))
+    corpus.insert(4, GridFn(grid, grid.nodes, name="lifted"))
+    cases = [case(Family.HAD_CKN, a=1.0, b=2.0, alpha=0.9, p=2.0, q=2.0, delta=0.5,
+                  d=0.8, e=0.3),
+             case(Family.HAD_CKN, a=1.0, b=2.0, alpha=0.9, p=3.0, q=2.0, delta=0.5,
+                  d=1.2, e=0.3)]
+    whole = sweep(Family.HAD_CKN, cases, corpus)
+    maps, sizes = inequalities._Spec.maps, []
+
+    def recording(spec, the_case, operands):
+        sizes.append(len(operands))
+        return maps(spec, the_case, operands)
+
+    monkeypatch.setattr(inequalities._Spec, "maps", recording)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(inequalities, "_BLOCK_SAMPLES", rows * (grid.n + 1))
+        sizes.clear()
+        assert sweep(Family.HAD_CKN, cases, corpus) == whole
+        assert max(sizes) == rows  # the block bound holds, and is reached
+    assert whole[4].error.startswith("HypothesisError")
+
+
+@pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])
+def test_block_powers_are_the_scalar_powers(family):
+    # a side raised to a power takes the power of each row as a lone float:
+    # np.power on an array rounds differently in a few percent of the values
+    from fracineq import hadamard_derivative
+
+    grid = uniform_grid(1.0, 2.0, 128)
+    corpus = generate(CorpusSpec.polynomials(grid, 3, 60, 11))
+    derivative = hadamard_derivative if family is Family.HAD_GAGLIARDO_NIRENBERG \
+        else caputo_derivative
+    for s in (0.25, 0.5):
+        the_case = case(family, a=1.0, b=2.0, alpha=0.9, p=2.0, q=2.0, s=s)
+        for cell, u in zip(sweep(family, [the_case], corpus), corpus):
+            dnorm = norm(derivative(u, 0.9), NormKind.lp(2.0))
+            product = dnorm**s * norm(u, NormKind.lp(2.0)) ** (1.0 - s)
+            assert cell.certificate.rhs_norm_product == product, (s, u.name)

@@ -373,6 +373,8 @@ HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", 
      "error: sharpness search needs (degree + 1)(n + 1) <= 4194305 (got degree=63, n=65536)"),
     (["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1e-300", "--n", "16", "--T", "1",
       "--dt", "0.5"], 4, "numeric error: stiffness is not finite (h = 6.25e-302)"),
+    (["sharpness", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
+      "--budget", "-5"], 3, "error: sharpness search needs budget >= 0 (got -5)"),
 ])
 def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
     # one line on stderr: no traceback, no numpy warning, no report
