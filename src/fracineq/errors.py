@@ -22,7 +22,7 @@ class DomainError(FracineqError):
 
 
 class SizeError(DomainError):
-    """A grid is too large for an operation; a sweep raises it for all cells."""
+    """A grid is too large, or too fine, for an operation; a sweep raises it for all cells."""
 
 
 class ParamError(FracineqError):

@@ -545,7 +545,9 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
         try:
             with np.errstate(all="ignore"):  # a side out of float range is refused below
                 lhs, product, ratio = _sides(spec, case, maps(rows), cval)
-        except FracineqError as exc:  # an error of the grid, e.g. an operator scale
+        except FracineqError as exc:
+            # a grid error (SizeError, such as an operator scale out of range) and
+            # a NumericError stop the run; any other error is every scored row's
             if isinstance(exc, (SizeError, NumericError)):
                 raise
             return lhs, product, ratio, [error or exc for error in errors], cval

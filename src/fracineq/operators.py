@@ -53,9 +53,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .grids import Grid, GridFn, check_dense
 from .special import gamma_fn
 
@@ -136,7 +136,11 @@ class OperatorMatrix:
         if self.dense is not None:
             w = self.dense
         else:
-            w = toeplitz(self.band, np.zeros(self.grid.n + 1))
+            # w[i, j] = band[i - j] below the diagonal: row i is the window
+            # of the reversed band, padded with n zeros, that starts at n - i
+            n = self.grid.n
+            padded = np.concatenate((self.band[::-1], np.zeros(n)))
+            w = sliding_window_view(padded, n + 1)[::-1].copy()
             w[:, 0] = self.col0
             w[0, :] = 0.0
         if self.mirrored:
@@ -193,7 +197,8 @@ def _scale(h: float, power: float, gamma_arg: float) -> float:
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
-        raise DomainError(
+        # a property of the grid spacing, so a sweep stops instead of recording it per cell
+        raise SizeError(
             f"operator scale h^{power} / Gamma({gamma_arg}) overflows (h = {h})"
         )
     return scale

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DomainError
 from .special import gamma_fn
 
@@ -36,6 +34,8 @@ def reference_integral(f: Callable[[float], float], a: float, t: float,
     and the transformed integrand is handled by adaptive Gauss-Kronrod.
     Raises ConvergenceError when the quadrature error estimate exceeds tol.
     """
+    from scipy.integrate import quad  # loaded on first use, not on import fracineq
+
     if alpha <= 0.0:
         raise DomainError(f"reference_integral requires alpha > 0 (got {alpha})")
     if not a < t:

@@ -139,17 +139,55 @@ def test_run_equals_loop_of_step_bit_for_bit(alpha):
     u = problem.u0.samples[1:].copy()
     energy = [u @ (m * u)]
     for _ in range(problem.nsteps):
-        u = step(u, k, m, problem.dt)
+        u = step(u, k, m, problem.dt, alpha=alpha)
         energy.append(u @ (m * u))
     assert np.array_equal(trace.energy, np.array(energy))
     assert np.array_equal(k, k_before)
+
+
+def _energies(problem, solve):
+    # I(t_k) stepped by ``solve(factor, rhs)`` over a scipy Cholesky factor of M + dt K
+    mass = mass_diagonal(problem.grid)
+    k = assemble_stiffness(problem.grid, problem.alpha)
+    factor = scipy.linalg.cho_factor(np.diag(mass) + problem.dt * k)
+    u = problem.u0.samples[1:].copy()
+    energy = [u @ (mass * u)]
+    for _ in range(problem.nsteps):
+        u = solve(factor, mass * u)
+        energy.append(u @ (mass * u))
+    return np.array(energy)
+
+
+@pytest.mark.parametrize("n", [129, 1024, 2048])
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
+def test_run_below_order_one_matches_cho_solve(alpha, n):
+    # the two triangular solves per step against LAPACK's potrs on the same K
+    problem = make_problem(alpha=alpha, n=n, T=0.04, dt=2e-3,
+                           profile=lambda t: t + np.sin(7.0 * np.pi * t))
+    energy = run(problem).energy
+    expect = _energies(problem, scipy.linalg.cho_solve)
+    assert energy.size == expect.size == 21
+    assert np.max(np.abs(energy - expect) / expect) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [32, 129])
+def test_run_order_one_is_a_dpotrs_loop_bit_for_bit(n):
+    problem = make_problem(alpha=1.0, n=n, T=0.05, dt=1e-3)
+
+    def dpotrs(factor, rhs):
+        c, lower = factor
+        x, info = scipy.linalg.lapack.dpotrs(c, rhs, lower=lower)
+        assert info == 0
+        return x
+
+    assert np.array_equal(run(problem).energy, _energies(problem, dpotrs))
 
 
 def test_step_zero_fixed_point():
     grid = uniform_grid(0.0, 1.0, 32)
     k = assemble_stiffness(grid, 0.8)
     m = mass_diagonal(grid)
-    out = step(np.zeros(32), k, m, 1e-2)
+    out = step(np.zeros(32), k, m, 1e-2, alpha=0.8)
     assert np.array_equal(out, np.zeros(32))
 
 
@@ -159,7 +197,7 @@ def test_step_strictly_decreases_energy():
     m = mass_diagonal(grid)
     u = grid.nodes[1:].copy()
     before = u @ (m * u)
-    after_state = step(u, k, m, 1e-2)
+    after_state = step(u, k, m, 1e-2, alpha=0.8)
     after = after_state @ (m * after_state)
     assert after <= before * (1.0 + 1e-12)
     assert after < before

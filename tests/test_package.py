@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fracineq
@@ -32,3 +35,13 @@ def test_each_error_class_states_its_exit_code():
         "ParseError": 3, "EvalError": 3, "ConvergenceError": 4, "SolveError": 4,
         "NumericError": 4, "SizeError": 3,
     }
+
+
+def test_import_loads_no_scipy():
+    # scipy is loaded by the first diffusion solve or reference quadrature, not on import
+    code = ("import sys, fracineq, fracineq.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(fracineq.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "[]\n"

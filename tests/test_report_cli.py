@@ -375,6 +375,10 @@ HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", 
       "--dt", "0.5"], 4, "numeric error: stiffness is not finite (h = 6.25e-302)"),
     (["sharpness", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "2",
       "--budget", "-5"], 3, "error: sharpness search needs budget >= 0 (got -5)"),
+    # the operator scale h^-alpha overflows: a grid error, not a failed certificate
+    (["verify", "--family", "poincare-sobolev", "--alpha", "0.999", "--p", "2", "--a", "0",
+      "--b", "1e-320", "--n", "2", "--corpus", "expr:t;1+t"], 3,
+     "error: operator scale h^-0.999 / Gamma(1.001) overflows (h = 5e-321)"),
 ])
 def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
     # one line on stderr: no traceback, no numpy warning, no report
