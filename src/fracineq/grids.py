@@ -8,6 +8,7 @@ the operator discretizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +56,8 @@ class Grid:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "n", int(self.n))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError(f"grid requires finite endpoints (got a={self.a}, b={self.b})")
         if not self.a < self.b:
             raise DomainError(f"grid requires a < b (got a={self.a}, b={self.b})")
         if self.n < 2:

@@ -36,9 +36,10 @@ import numpy as np
 from .errors import (DomainError, FracineqError, HypothesisError, NumericError, ParamError,
                      SizeError)
 from .grids import MAX_N, Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, uniform_grid
-from .grids import norm  # noqa: F401  (a target that perfbench/tracer.py wraps here)
-from .operators import (caputo_derivative, hadamard_derivative, log_companion_grid,
-                        log_companion_times)
+from .operators import apply_operator, log_companion_grid, log_companion_times
+# targets that perfbench/tracer.py wraps here, although no certificate calls them
+from .grids import norm  # noqa: F401
+from .operators import caputo_derivative, hadamard_derivative  # noqa: F401
 from .special import conjugate, gamma_fn, holder_denominator
 
 __all__ = [
@@ -110,8 +111,10 @@ class InequalityCase:
 
     def params(self) -> dict:
         """The fields that are set, other than family, in declaration order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "family" and getattr(self, f.name) is not None}
+        return {name: value for name in _PARAMS if (value := getattr(self, name)) is not None}
+
+
+_PARAMS = tuple(f.name for f in fields(InequalityCase) if f.name != "family")
 
 
 def _fail(family: Family, clause: str) -> ParamError:
@@ -354,20 +357,22 @@ class _Spec:
     order: str = "alpha"  # field holding the order of the derivative on the right
     low: str | None = None  # field holding the order of the derivative on the left
 
-    def operand(self, case: InequalityCase, u: GridFn) -> GridFn:
-        return u if self.inner is None else caputo_derivative(u, getattr(case, self.inner))
+    def operand(self, case: InequalityCase, grid: Grid, u: np.ndarray) -> np.ndarray:
+        # the samples u, one row per function, or their inner derivative
+        if self.inner is None:
+            return u
+        return apply_operator(grid, u, getattr(case, self.inner), "caputo")[1]
 
-    def maps(self, case: InequalityCase, operands: list[GridFn]) -> _Maps:
-        v = np.array([w.samples for w in operands])
+    def maps(self, case: InequalityCase, grid: Grid, v: np.ndarray) -> _Maps:
+        # each operator applied once to the block of operands v
         low = None
         if self.low is not None:
             beta = getattr(case, self.low)
             # order 0 is the zeroth derivative of the representation, v - v(a)
-            low = (v - v[:, :1] if beta == 0.0
-                   else np.array([caputo_derivative(w, beta).samples for w in operands]))
-        derivative = hadamard_derivative if self.hadamard else caputo_derivative
-        dv = np.array([derivative(w, getattr(case, self.order)).samples for w in operands])
-        return _Maps(operands[0].grid, v, dv, low)
+            low = v - v[:, :1] if beta == 0.0 else apply_operator(grid, v, beta, "caputo")[1]
+        kind = "hadamard-derivative" if self.hadamard else "caputo"
+        dv = apply_operator(grid, v, getattr(case, self.order), kind)[1]
+        return _Maps(grid, v, dv, low)
 
     def dnorm(self, case: InequalityCase, m: _Maps, p: float, power: float = 0.0):
         # L^p norm of the derivative against the weight x^(power*p), with x
@@ -566,28 +571,28 @@ def _certificates(spec: _Spec, case: InequalityCase, fns: list[GridFn],
     the coarse copies of the passing rows as another: the Richardson pass.
     Raises SizeError and the first NumericError.
     """
+    g = fns[0].grid
+    u = np.array([f.samples for f in fns])
     try:
-        _check_interval(case, fns[0].grid)
-        operands = [spec.operand(case, u) for u in fns]
+        _check_interval(case, g)
+        v = spec.operand(case, g, u)
     except FracineqError as exc:
         if isinstance(exc, (SizeError, NumericError)):
             raise
         return [exc] * len(fns)
     lhs, product, ratio, cells, cval = _score(
-        spec, case, np.array([v.samples[0] for v in operands]),
-        lambda rows: spec.maps(case, [operands[i] for i in rows]))
+        spec, case, v[:, 0], lambda rows: spec.maps(case, g, v if len(rows) == len(v) else v[rows]))
     numeric = [error for error in cells if isinstance(error, NumericError)]
     if numeric:
         raise numeric[0]
     rows = [i for i, error in enumerate(cells) if error is None]  # the scored rows
     tol = np.full(len(rows), 1e-6 if disc_tol is None else float(disc_tol))
-    g = fns[0].grid
     if disc_tol is None and rows and g.n >= 4:
         coarse = uniform_grid(g.a, g.b, g.n // 2)  # every other node; interpolated for odd n
-        samples = [fns[i].samples[::2] if g.n % 2 == 0
-                   else np.interp(coarse.nodes, g.nodes, fns[i].samples) for i in rows]
+        x = (u[rows, ::2] if g.n % 2 == 0
+             else np.array([np.interp(coarse.nodes, g.nodes, u[i]) for i in rows]))
         with np.errstate(all="ignore"):
-            m = spec.maps(case, [spec.operand(case, GridFn(coarse, x)) for x in samples])
+            m = spec.maps(case, coarse, spec.operand(case, coarse, x))
             tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
     for k, i in enumerate(rows):
         cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]), cval,
@@ -627,9 +632,10 @@ class BasisSides:
         if any(u.grid != basis[0].grid for u in basis):
             raise DomainError("basis functions must share one grid")
         spec = _SPECS[case.family]
-        operands = [spec.operand(case, u) for u in basis]
+        grid = basis[0].grid
+        v = spec.operand(case, grid, np.array([u.samples for u in basis]))
         self.case, self.constant, self._spec = case, _constant(spec, case), spec
-        self._maps = spec.maps(case, operands)
+        self._maps = spec.maps(case, grid, v)
 
     def ratios(self, coeffs: np.ndarray) -> tuple[np.ndarray, FracineqError | None]:
         """Grid ratios of the rows before the first failing one, and that row's error."""

@@ -35,7 +35,8 @@ Every left-sided scheme of order below 1 is a convolution quadrature
 (Lubich, "Discretized fractional calculus", SIAM J. Math. Anal. 17, 1986):
 a lower-triangular Toeplitz band, one boundary column and a zero row 0.  An
 operator stores those O(n) parts and applies the band by direct convolution
-on small grids and by a cached real-FFT spectrum on large ones.  The dense
+on small grids and by a cached real-FFT spectrum on large ones, to one vector
+or to each row of a block at once.  The dense
 (n+1)^2 weight matrix is assembled only on request, except for the order-1
 finite differences, which are kept dense up to grids.MAX_DENSE_N.
 Operators are immutable and kept in a least-recently-used cache bounded by
@@ -64,6 +65,7 @@ __all__ = [
     "OPERATOR_KINDS",
     "OPERATORS",
     "operator_matrix",
+    "apply_operator",
     "rl_integral",
     "rl_derivative",
     "caputo_derivative",
@@ -83,6 +85,12 @@ __all__ = [
 #: np.convolve is faster (one thread, numpy's pocketfft; measured crossover
 #: n = 350-400 on an x86-64 Xeon)
 _FFT_MIN_N = 384
+
+#: a block is transformed in chunks of rows holding at most this many padded
+#: samples (64 KiB of doubles), so the work arrays of one chunk stay within
+#: 3 x 64 KiB; a vector longer than that is one chunk of its own.  Larger
+#: chunks are a little faster but raise the peak memory of a sweep block
+_FFT_CHUNK = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,28 +157,59 @@ class OperatorMatrix:
         return w
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        """The operator's values at the n+1 nodes for one vector of samples."""
+        """The operator's values at the n+1 nodes for one vector of samples.
+
+        A (rows, n+1) block gives one row of values per row of samples, each
+        equal bit for bit to the vector's.  The block is transformed in
+        chunks of rows, at most _FFT_CHUNK padded samples each, so the
+        FFT's work arrays stay bounded whatever the block's size.
+        """
         n = self.grid.n
-        x = np.asarray(samples, dtype=float)
-        if x.shape != (n + 1,):
-            raise DomainError(f"samples must have shape ({n + 1},) (got {x.shape})")
-        y = np.empty(n + 1)
-        out = y
+        x = _checked(samples, n)
+        y = np.empty(x.shape)
+        x, out = (x[None], y[None]) if x.ndim == 1 else (x, y)  # a vector is one row
         if self.mirrored:
-            x, out = x[::-1], y[::-1]
+            x, out = x[:, ::-1], out[:, ::-1]
         if self.dense is not None:
-            # a reversed view would bypass BLAS and round differently
-            out[:] = self.dense @ np.ascontiguousarray(x)
+            # a reversed view would bypass BLAS and round differently; the
+            # stacked vectors x[:, :, None] make one matrix-vector product per
+            # row, as a matrix-matrix product would round differently
+            out[:] = np.matmul(self.dense, np.ascontiguousarray(x)[:, :, None])[:, :, 0]
             return y
+        out[:, 0] = 0.0
+        size = 2 * (n if self.spectrum is None else self.spectrum.size - 1)
+        step = max(1, _FFT_CHUNK // size)
+        for start in range(0, len(x), step):
+            out[start:start + step, 1:] = self._band_part(x[start:start + step])
+        return y
+
+    def _band_part(self, x: np.ndarray) -> np.ndarray:
+        # nodes 1..n of the values for each row of the block x
+        n = self.grid.n
         if self.spectrum is None:
-            band_part = np.convolve(self.band[:n], x[1:])[:n]
+            band_part = np.array([np.convolve(self.band[:n], row)[:n] for row in x[:, 1:]])
         else:
             size = 2 * (self.spectrum.size - 1)
-            band_part = np.fft.irfft(self.spectrum * np.fft.rfft(x[1:], size), size)[:n]
-        band_part += self.col0[1:] * x[0]
-        out[0] = 0.0
-        out[1:] = band_part
-        return y
+            transform = np.fft.rfft(x[:, 1:], size)
+            # spectrum first at every size: numpy's complex product fuses
+            # multiply-adds, so its rounding depends on the operand order,
+            # which numpy itself swaps when it reuses a large temporary
+            np.multiply(self.spectrum, transform, out=transform)
+            band_part = np.fft.irfft(transform, size)[:, :n]
+            del transform  # freed before the boundary term's temporary
+        band_part += self.col0[1:] * x[:, :1]
+        return band_part
+
+
+def _checked(samples: np.ndarray, n: int) -> np.ndarray:
+    # one vector of n+1 floats or a (rows, n+1) block of them
+    x = np.asarray(samples, dtype=float)
+    if x.shape[-1:] != (n + 1,) or x.ndim > 2:
+        if x.ndim == 2:
+            raise DomainError(f"a block of samples must have shape (rows, {n + 1}) "
+                              f"(got {x.shape})")
+        raise DomainError(f"samples must have shape ({n + 1},) (got {x.shape})")
+    return x
 
 
 def _check_integral_order(alpha: float) -> float:
@@ -269,10 +308,14 @@ def _build(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
         return OperatorMatrix(tau, alpha, kind, band, col0)
     elif kind == "hadamard-derivative":
         tau = log_companion_grid(grid)
-        if not 0.0 < float(alpha) < 1.0:
+        if not 0.0 < float(alpha) <= 1.0:
             raise DomainError(
-                f"hadamard derivative requires alpha in (0, 1) (got {alpha})"
+                f"hadamard derivative requires alpha in (0, 1] (got {alpha})"
             )
+        if alpha == 1.0:
+            # apply_operator and hadamard_derivative evaluate this order
+            raise DomainError("the order-1 hadamard derivative is the limit t u'(t), "
+                              "not a matrix kind")
         band, col0 = _l1_caputo_parts(tau.n, alpha, tau.h)
         return OperatorMatrix(tau, alpha, kind, band, col0)
     else:
@@ -350,13 +393,31 @@ def operator_matrix(grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
     return _cached_build(grid, float(alpha), kind)
 
 
-def _evaluate(u: GridFn, alpha: float, kind: str) -> GridFn:
-    # the kind applied to the samples, resampled onto the companion grid for
-    # the Hadamard kinds; the kind checks the order and the endpoint
-    m = operator_matrix(u.grid, alpha, kind)
+def apply_operator(grid: Grid, samples: np.ndarray, alpha: float,
+                   kind: str) -> tuple[Grid, np.ndarray]:
+    """One kind applied to samples on ``grid``: the output grid and values.
+
+    ``samples`` is one vector of n+1 values or a (rows, n+1) block, which
+    gives one row of values per row, each equal bit for bit to the vector's.
+    The Hadamard kinds resample onto the companion grid first and return
+    values on it; the kind checks the order and the endpoint.
+    """
+    if kind == "hadamard-derivative" and float(alpha) == 1.0:
+        # the t u'(t) limit: differentiate on the original grid and resample
+        # the smooth result; resampling first and differencing after would
+        # amplify the interpolation sawtooth by 1/h
+        _, du = apply_operator(grid, samples, 1.0, "caputo")
+        du *= grid.nodes
+        return log_companion_grid(grid), _log_resample(grid, du)
+    m = operator_matrix(grid, alpha, kind)
     if kind.startswith("hadamard"):
-        u = to_log_grid(u)
-    return GridFn(m.grid, m.apply(u.samples), name=u.name)
+        samples = _log_resample(grid, samples)
+    return m.grid, m.apply(samples)
+
+
+def _evaluate(u: GridFn, alpha: float, kind: str) -> GridFn:
+    grid, values = apply_operator(u.grid, u.samples, alpha, kind)
+    return GridFn(grid, values, name=u.name)
 
 
 def rl_integral(u: GridFn, alpha: float) -> GridFn:
@@ -422,15 +483,26 @@ def log_companion_times(grid: Grid) -> np.ndarray:
     return grid.a * np.exp(log_companion_grid(grid).nodes)
 
 
+def _log_resample(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    # linear interpolation at t = a exp(sigma_j), row by row as np.interp
+    # takes one vector; the end samples are copied exactly
+    x = _checked(samples, grid.n)
+    times = log_companion_times(grid)
+    if x.ndim == 1:
+        vals = np.interp(times, grid.nodes, x)
+    else:
+        vals = np.array([np.interp(times, grid.nodes, row) for row in x]).reshape(x.shape)
+    vals[..., 0] = x[..., 0]
+    vals[..., -1] = x[..., -1]
+    return vals
+
+
 def to_log_grid(u: GridFn) -> GridFn:
     """Resample a grid function onto the companion grid (linear interpolation).
 
     Sample j of the result is u evaluated at t = a exp(sigma_j).
     """
-    vals = np.interp(log_companion_times(u.grid), u.grid.nodes, u.samples)
-    vals[0] = u.samples[0]
-    vals[-1] = u.samples[-1]
-    return GridFn(log_companion_grid(u.grid), vals, name=u.name)
+    return GridFn(log_companion_grid(u.grid), _log_resample(u.grid, u.samples), name=u.name)
 
 
 def from_log_grid(g: GridFn, grid: Grid) -> GridFn:
@@ -458,12 +530,6 @@ def hadamard_derivative(u: GridFn, alpha: float) -> GridFn:
     first derivative on the logarithmic axis).  Output samples live on the
     companion grid.
     """
-    if float(alpha) == 1.0:
-        # differentiate on the original grid and resample the smooth result:
-        # resampling first and differencing after would amplify the
-        # interpolation sawtooth by 1/h
-        du = caputo_derivative(u, 1.0)
-        return to_log_grid(GridFn(u.grid, u.grid.nodes * du.samples, name=u.name))
     return _evaluate(u, alpha, "hadamard-derivative")
 
 

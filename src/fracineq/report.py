@@ -2,13 +2,17 @@
 
 A report is a list of row dicts with a fixed key order.  Floats are rendered
 with 17 significant digits, so every double round-trips losslessly and
-identical rows give byte-identical output in either format.
+identical rows give byte-identical output in either format.  Each value is
+rendered by one serializer; an object fills a template of its keys, made
+once per key order.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from datetime import datetime, timezone
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
 
@@ -28,7 +32,7 @@ __all__ = [
 
 def format_float(x: float) -> str:
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise NumericError(f"cannot serialize non-finite float {x}")
     return f"{x:.17g}"
 
@@ -37,22 +41,30 @@ def rfc3339_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _serialize(value) -> str:
+@lru_cache(maxsize=256)
+def _template(keys: tuple) -> str:
+    # an object with these keys, each value left as a %s slot
+    return "{" + ",".join(_quote(str(k)).replace("%", "%%") + ":%s" for k in keys) + "}"
+
+
+def _text(value) -> str:
+    """One value as JSON text: the serializer of both report formats."""
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, dict):
+        return _template(tuple(value)) % tuple(map(_text, value.values()))
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_serialize(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_serialize(v)}"
-                              for k, v in value.items()) + "}"
+        return "[" + ",".join(map(_text, value)) + "]"
     raise NumericError(f"cannot serialize {type(value).__name__}")
 
 
@@ -88,11 +100,11 @@ def sweep_rows(cells: list[SweepCell]) -> list[dict]:
 
 def emit_payload_json(rows, command: str, generated_at: str | None = None) -> str:
     """Rows in the report envelope: version, command, generated_at, results."""
-    parts = [f'"version":{_serialize(VERSION)}', f'"command":{_serialize(command)}']
+    envelope = {"version": VERSION, "command": command}
     if generated_at is not None:
-        parts.append(f'"generated_at":{_serialize(generated_at)}')
-    parts.append(f'"results":{_serialize(rows)}')
-    return "{" + ",".join(parts) + "}"
+        envelope["generated_at"] = generated_at
+    envelope["results"] = rows
+    return _text(envelope)
 
 
 def emit_csv(rows: list[dict]) -> str:
@@ -102,6 +114,5 @@ def emit_csv(rows: list[dict]) -> str:
     header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if row[key] is None else _serialize(row[key])
-                              for key in header))
+        lines.append(",".join("" if row[key] is None else _text(row[key]) for key in header))
     return "\n".join(lines) + "\n"

@@ -35,6 +35,16 @@ def test_uniform_grid_rejects_bad_interval():
         uniform_grid(0.0, 1.0, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                 (0.0, math.nan), (math.inf, math.inf)])
+def test_grid_refuses_a_non_finite_endpoint_first(a, b):
+    # before the a < b check, and before any node is computed (no numpy warning)
+    with pytest.raises(DomainError) as info:
+        uniform_grid(a, b, 8)
+    assert str(info.value) == f"grid requires finite endpoints (got a={a}, b={b})"
+
+
 def test_grid_size_is_limited_before_allocation():
     assert MAX_N >= 2**20
     tracemalloc.start()

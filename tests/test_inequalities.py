@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -634,9 +635,9 @@ def test_sweep_split_into_blocks_gives_the_same_cells(monkeypatch):
     whole = sweep(Family.HAD_CKN, cases, corpus)
     maps, sizes = inequalities._Spec.maps, []
 
-    def recording(spec, the_case, operands):
+    def recording(spec, the_case, grid, operands):
         sizes.append(len(operands))
-        return maps(spec, the_case, operands)
+        return maps(spec, the_case, grid, operands)
 
     monkeypatch.setattr(inequalities._Spec, "maps", recording)
     for rows in (1, 2, 3):
@@ -645,6 +646,29 @@ def test_sweep_split_into_blocks_gives_the_same_cells(monkeypatch):
         assert sweep(Family.HAD_CKN, cases, corpus) == whole
         assert max(sizes) == rows  # the block bound holds, and is reached
     assert whole[4].error.startswith("HypothesisError")
+
+
+def test_largest_sweep_block_holds_five_arrays():
+    # the most functions one block holds at n = 1024 (4,092, 32 MiB per array):
+    # u, the inner derivative, the outer derivative and two norm temporaries
+    # at once, plus the work arrays of one FFT chunk and the per-row
+    # bookkeeping (checks, side values: about 100 bytes a row)
+    from fracineq import inequalities, operators
+
+    grid = uniform_grid(1.0, 2.0, 1024)
+    rows = inequalities._BLOCK_SAMPLES // (grid.n + 1)
+    corpus = generate(CorpusSpec.polynomials(grid, 3, rows, 1))
+    the_case = case(Family.SEQ_GAGLIARDO_NIRENBERG, a=1.0, b=2.0, alpha=0.5, beta=0.8,
+                    p=2.0, q=3.0, s=0.5)
+    tracemalloc.start()
+    try:
+        cells = sweep(Family.SEQ_GAGLIARDO_NIRENBERG, [the_case], corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == rows and all(c.certificate is not None for c in cells)
+    block = rows * (grid.n + 1) * 8
+    assert peak <= 5 * block + 3 * 8 * operators._FFT_CHUNK + 128 * rows
 
 
 @pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])

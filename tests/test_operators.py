@@ -574,7 +574,7 @@ def test_order_one_derivatives_share_the_finite_differences(n):
 
 INTEGRAL_MESSAGE = "fractional integral requires finite alpha > 0 (got {})"
 DERIVATIVE_MESSAGE = "fractional derivative requires alpha in (0, 1] (got {})"
-HADAMARD_MESSAGE = "hadamard derivative requires alpha in (0, 1) (got {})"
+HADAMARD_MESSAGE = "hadamard derivative requires alpha in (0, 1] (got {})"
 MESSAGE_CASES = (
     [(kind, alpha, INTEGRAL_MESSAGE) for kind in ("rl-integral", "hadamard-integral")
      for alpha in (0.0, -0.5, math.nan, math.inf)]
@@ -603,6 +603,15 @@ def test_hadamard_left_endpoint_message(kind, alpha, a):
     with pytest.raises(DomainError) as info:
         OPERATORS[kind](u, alpha)
     assert str(info.value) == "hadamard operators require a > 0"
+
+
+def test_order_one_hadamard_derivative_is_not_a_matrix_kind():
+    grid = uniform_grid(1.0, 2.0, 16)
+    with pytest.raises(DomainError) as info:
+        operator_matrix(grid, 1.0, "hadamard-derivative")
+    assert str(info.value) == ("the order-1 hadamard derivative is the limit t u'(t), "
+                               "not a matrix kind")
+    assert hadamard_derivative(GridFn(grid, grid.nodes), 1.0).grid == log_companion_grid(grid)
 
 
 def test_dense_order_one_is_limited_before_allocation():
@@ -637,5 +646,68 @@ def test_weights_are_limited_before_allocation():
 
 def test_apply_rejects_wrong_length():
     m = operator_matrix(uniform_grid(0.0, 1.0, 16), 0.5, "caputo")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as info:
         m.apply(np.zeros(18))
+    assert str(info.value) == "samples must have shape (17,) (got (18,))"
+    for shape in [(3, 18), (3, 16)]:
+        with pytest.raises(DomainError) as info:
+            m.apply(np.zeros(shape))
+        assert str(info.value) == f"a block of samples must have shape (rows, 17) (got {shape})"
+    with pytest.raises(DomainError, match=r"samples must have shape \(17,\) \(got \(2, 3, 17\)\)"):
+        m.apply(np.zeros((2, 3, 17)))
+
+
+# --- block apply --------------------------------------------------------------
+
+def _block(n, rows, seed):
+    # rows of smooth data with u(a) != 0 and u(b) != 0, on [0.5, 2]
+    grid = uniform_grid(0.5, 2.0, n)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, (rows, 4))
+    return grid, c[:, :1] + c[:, 1:2] * np.sin(3.0 * grid.nodes + c[:, 2:3]) \
+        + c[:, 3:] * grid.nodes**2
+
+
+@pytest.mark.parametrize("n", [FFT_MIN_N - 1, FFT_MIN_N, 1024, 1025])
+@pytest.mark.parametrize("kind,alpha", KIND_ORDERS)
+def test_block_apply_equals_the_vector_apply_bit_for_bit(kind, alpha, n):
+    # mirrored (right-rl-derivative), dense (order 1), Hadamard (companion
+    # grid) and sequential operands (the block of an inner derivative),
+    # on each side of the FFT threshold
+    for rows in (1, 12):
+        grid, u = _block(n, rows, seed=n + rows)
+        m = operator_matrix(grid, alpha, kind)
+        inner = operator_matrix(grid, 0.3, "caputo").apply(u)
+        for x in (u, inner):
+            got = m.apply(x)
+            assert got.shape == (rows, n + 1)
+            for row, samples in zip(got, x):
+                assert np.array_equal(row, m.apply(samples))
+
+
+@pytest.mark.parametrize("n", [FFT_MIN_N - 1, 1024])
+@pytest.mark.parametrize("kind,alpha", KIND_ORDERS + [("hadamard-derivative", 1.0)])
+def test_apply_operator_rows_equal_the_public_function(kind, alpha, n):
+    grid, u = _block(n, 12, seed=n)
+    out_grid, values = operators.apply_operator(grid, u, alpha, kind)
+    assert operators.apply_operator(grid, u[:0], alpha, kind)[1].shape == (0, n + 1)
+    for row, samples in zip(values, u):
+        lone = OPERATORS[kind](GridFn(grid, samples), alpha)
+        assert out_grid == lone.grid
+        assert np.array_equal(row, lone.samples)
+
+
+def test_block_fft_is_chunked():
+    # the largest sweep block at n = 1024: about 4,092 rows, 32 MiB per array;
+    # one unchunked transform would add about 200 MB of work arrays
+    grid = uniform_grid(0.0, 1.0, 1024)
+    m = operator_matrix(grid, 0.6, "caputo")
+    x = np.tile(grid.nodes, ((grids.MAX_N + 1) // (grid.n + 1), 1))
+    tracemalloc.start()
+    try:
+        y = m.apply(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(y[-1], m.apply(grid.nodes))
+    assert peak <= y.nbytes + 3 * 8 * operators._FFT_CHUNK

@@ -118,6 +118,25 @@ def test_cli_deterministic_output():
     assert out1 == out2
 
 
+#: n = 1024 and alpha < 1: every operator is applied by FFT, on the fine grid
+#: and on the coarse one of the Richardson pass; one payload per line
+FFT_ARGVS = [
+    ["verify", "--family", "hadamard-hardy", "--alpha", "0.6,0.75,0.9", "--p", "2,3",
+     "--a", "1", "--b", "2", "--n", "1024", "--corpus", "poly:3,3,7", "--out", "json",
+     "--no-timestamp"],
+    ["verify", "--family", "seq-hardy", "--alpha", "0.8,0.9", "--beta", "0.3,0.6", "--p", "2",
+     "--a", "1", "--b", "2", "--n", "1024", "--corpus", "poly:3,3,7", "--out", "json",
+     "--no-timestamp"],
+]
+
+
+def test_cli_verify_fft_path_matches_fixture():
+    expected = (FIXTURES / "verify_fft.json").read_text().splitlines(keepends=True)
+    assert len(expected) == len(FFT_ARGVS)
+    for argv, line in zip(FFT_ARGVS, expected):
+        assert run_cli(argv) == (0, line)
+
+
 def test_cli_verify_matches_fixture():
     argv = ["verify", "--family", "hardy", "--alpha", "1", "--p", "2",
             "--a", "1", "--b", "2", "--n", "256", "--corpus", "poly:3,3,7",
@@ -379,6 +398,8 @@ HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", 
     (["verify", "--family", "poincare-sobolev", "--alpha", "0.999", "--p", "2", "--a", "0",
       "--b", "1e-320", "--n", "2", "--corpus", "expr:t;1+t"], 3,
      "error: operator scale h^-0.999 / Gamma(1.001) overflows (h = 5e-321)"),
+    (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "t", "--a", "0", "--b", "inf",
+      "--n", "8"], 3, "error: grid requires finite endpoints (got a=0.0, b=inf)"),
 ])
 def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
     # one line on stderr: no traceback, no numpy warning, no report
