@@ -20,7 +20,8 @@ applies its shape to the inner derivative v = D^inner u, which must then
 vanish at a.
 
 One private stage checks and scores blocks of rows for :func:`sweep`,
-``evaluate_sides`` and :class:`BasisSides`; no row depends on its block.
+``evaluate_sides`` and :class:`BasisSides`; no row depends on its block,
+nor a sweep cell on the run of cases that shares its operators.
 """
 
 from __future__ import annotations
@@ -357,6 +358,11 @@ class _Spec:
     order: str = "alpha"  # field holding the order of the derivative on the right
     low: str | None = None  # field holding the order of the derivative on the left
 
+    def key(self, case: InequalityCase) -> tuple:
+        # all that the operand and the maps of a case depend on, with the grid
+        return (case.a, case.b) + tuple(getattr(case, name)
+                                        for name in (self.inner, self.order, self.low) if name)
+
     def operand(self, case: InequalityCase, grid: Grid, u: np.ndarray) -> np.ndarray:
         # the samples u, one row per function, or their inner derivative
         if self.inner is None:
@@ -529,6 +535,12 @@ def _sides(spec: _Spec, case: InequalityCase, m: _Maps, cval: float):
     return lhs, product, ratio
 
 
+def _stops(exc: FracineqError) -> bool:
+    # a grid error (SizeError, such as an operator scale out of range) and a
+    # NumericError stop the run; any other error is a cell's
+    return isinstance(exc, (SizeError, NumericError))
+
+
 def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
            maps: Callable[[list[int]], _Maps], cval: float | None = None):
     """The certificate stage: the checks and the sides of a block of rows.
@@ -550,10 +562,8 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
         try:
             with np.errstate(all="ignore"):  # a side out of float range is refused below
                 lhs, product, ratio = _sides(spec, case, maps(rows), cval)
-        except FracineqError as exc:
-            # a grid error (SizeError, such as an operator scale out of range) and
-            # a NumericError stop the run; any other error is every scored row's
-            if isinstance(exc, (SizeError, NumericError)):
+        except FracineqError as exc:  # any error that does not stop is every scored row's
+            if _stops(exc):
                 raise
             return lhs, product, ratio, [error or exc for error in errors], cval
         for i, left, right in zip(rows, lhs.tolist(), product.tolist()):
@@ -563,42 +573,70 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
     return lhs, product, ratio, errors, cval
 
 
-def _certificates(spec: _Spec, case: InequalityCase, fns: list[GridFn],
-                  disc_tol: float | None) -> list[Certificate | FracineqError]:
-    """The certificates, or row errors, of functions on one grid, in order.
+def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
+                  disc_tol: float | None
+                  ) -> tuple[list[list[Certificate | FracineqError]], FracineqError | None]:
+    """The certificates, or row errors, of a run of cases over functions on one grid.
 
-    The stage scores them as one block and, unless ``disc_tol`` is given,
-    the coarse copies of the passing rows as another: the Richardson pass.
-    Raises SizeError and the first NumericError.
+    The cases of a run share their operators (``_Spec.key``), and the
+    boundary check depends only on the operand, so every case scores the
+    same rows: the operand and the maps of those rows are built once and
+    each case is scored against them.  Then, unless ``disc_tol`` is given,
+    the same for the coarse copies of the rows: the Richardson pass, built
+    once the fine maps are released.  Returns each case's cells, in order,
+    up to the first case that stops with a SizeError or NumericError (in
+    case order, the fine pass before the coarse), and that error or None.
     """
     g = fns[0].grid
     u = np.array([f.samples for f in fns])
     try:
-        _check_interval(case, g)
-        v = spec.operand(case, g, u)
+        _check_interval(cases[0], g)
+        v = spec.operand(cases[0], g, u)
     except FracineqError as exc:
-        if isinstance(exc, (SizeError, NumericError)):
-            raise
-        return [exc] * len(fns)
-    lhs, product, ratio, cells, cval = _score(
-        spec, case, v[:, 0], lambda rows: spec.maps(case, g, v if len(rows) == len(v) else v[rows]))
-    numeric = [error for error in cells if isinstance(error, NumericError)]
-    if numeric:
-        raise numeric[0]
-    rows = [i for i, error in enumerate(cells) if error is None]  # the scored rows
-    tol = np.full(len(rows), 1e-6 if disc_tol is None else float(disc_tol))
+        return ([], exc) if _stops(exc) else ([[exc] * len(fns) for _ in cases], None)
+    fine, scores, stop = [], [], None
+
+    def maps(rows):
+        # built by the first case that scores a row, then every case's
+        if not fine:
+            fine.append(spec.maps(cases[0], g, v if len(rows) == len(v) else v[rows]))
+        return fine[0]
+
+    for case in cases:
+        try:
+            score = _score(spec, case, v[:, 0], maps)
+            stop = next((e for e in score[3] if isinstance(e, NumericError)), None)
+        except FracineqError as exc:  # a SizeError or a NumericError
+            stop = exc
+        if stop is not None:
+            break
+        scores.append(score)
+    del fine[:], v  # released before the coarse maps are built
+    scored = [[i for i, error in enumerate(cells) if error is None] for *_, cells, _ in scores]
+    tols = [np.full(len(rows), 1e-6 if disc_tol is None else float(disc_tol)) for rows in scored]
+    rows = max(scored, key=len, default=[])  # a case scores these rows or, on an error, none
     if disc_tol is None and rows and g.n >= 4:
         coarse = uniform_grid(g.a, g.b, g.n // 2)  # every other node; interpolated for odd n
         x = (u[rows, ::2] if g.n % 2 == 0
              else np.array([np.interp(coarse.nodes, g.nodes, u[i]) for i in rows]))
-        with np.errstate(all="ignore"):
-            m = spec.maps(case, coarse, spec.operand(case, coarse, x))
-            tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
-    for k, i in enumerate(rows):
-        cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]), cval,
-                               float(cval * product[k]), float(ratio[k]), float(tol[k]),
-                               bool(ratio[k] <= 1.0 + tol[k]), g.n)
-    return cells
+        k = scored.index(rows)  # the case that an error of the coarse maps stops
+        try:
+            with np.errstate(all="ignore"):
+                m = spec.maps(cases[k], coarse, spec.operand(cases[k], coarse, x))
+                for k, (case, (_, _, ratio, _, cval)) in enumerate(zip(cases, scores)):
+                    if scored[k]:
+                        tols[k] += np.abs(ratio - _sides(spec, case, m, cval)[2])
+        except FracineqError as exc:
+            del scores[k:]
+            stop = exc
+    results = []
+    for case, (lhs, product, ratio, cells, cval), rows, tol in zip(cases, scores, scored, tols):
+        for k, i in enumerate(rows):
+            cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]), cval,
+                                   float(cval * product[k]), float(ratio[k]), float(tol[k]),
+                                   bool(ratio[k] <= 1.0 + tol[k]), g.n)
+        results.append(cells)
+    return results, stop
 
 
 def evaluate_sides(case: InequalityCase, u: GridFn,
@@ -613,7 +651,8 @@ def evaluate_sides(case: InequalityCase, u: GridFn,
     """
     case = validate_case(case)
     _check_disc_tol(disc_tol)
-    [result] = _certificates(_SPECS[case.family], case, [u], disc_tol)
+    cells, stop = _certificates(_SPECS[case.family], [case], [u], disc_tol)
+    result = stop or cells[0][0]
     if isinstance(result, FracineqError):
         raise result
     return result
@@ -653,6 +692,22 @@ class BasisSides:
 _BLOCK_SAMPLES = MAX_N + 1
 
 
+def _run_cells(run: list[InequalityCase], blocks: list[list[GridFn]],
+               disc_tol: float | None) -> list[list[Certificate | FracineqError]]:
+    """Each case's cells over the blocks; raises the first stop in case order."""
+    results, stop = [[] for _ in run], None
+    for block in blocks:
+        more, error = _certificates(_SPECS[run[0].family], run[:len(results)], block, disc_tol)
+        if error is not None:  # raised before any cell of a later case
+            del results[len(more):]
+            stop = error
+        for result, cells in zip(results, more):
+            result += cells
+    if stop is not None:
+        raise stop
+    return results
+
+
 def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
           disc_tol: float | None = None) -> list[SweepCell]:
     """Evaluate the full cases x corpus cross product, lattice-major.
@@ -660,9 +715,11 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
     Per-cell errors are captured in the cell instead of aborting the sweep,
     so one invalid case or one hypothesis violation leaves the remaining
     cells intact.  A SizeError concerns the grid, not the cell, and a
-    NumericError a computation, not the input; both are raised.  Each case
-    is validated once and scores its corpus in blocks of consecutive
-    functions on one grid, at most MAX_N + 1 samples per array.  An invalid
+    NumericError a computation, not the input; the first in case order is
+    raised.  Each case is validated once.  Consecutive valid cases that
+    share their orders form a run, which scores the corpus in blocks of
+    consecutive functions on one grid, at most MAX_N + 1 samples per array,
+    so each operator is applied once per run and block.  An invalid
     ``disc_tol`` raises ParamError before any cell is evaluated.
     """
     _check_disc_tol(disc_tol)
@@ -670,20 +727,26 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
     for grid, run in itertools.groupby(corpus, key=lambda u: u.grid):
         run, size = list(run), max(1, _BLOCK_SAMPLES // (grid.n + 1))
         blocks += [run[i:i + size] for i in range(0, len(run), size)]
-    cells: list[SweepCell] = []
+    checked = []  # each case and its validated form, or its error
     for case in cases:
         try:
             if case.family is not family:
                 raise ParamError(f"case family {case.family.value} does not match sweep "
                                  f"family {family.value}")
-            valid = validate_case(case)
-            results = [r for block in blocks
-                       for r in _certificates(_SPECS[valid.family], valid, block, disc_tol)]
-        except FracineqError as exc:
-            if isinstance(exc, (SizeError, NumericError)):
-                raise
-            results = [exc] * len(corpus)
+            checked.append((case, validate_case(case)))
+        except ParamError as exc:
+            checked.append((case, exc))
+
+    def key(item):  # an invalid case is a run of its own
+        valid = item[1]
+        return valid if isinstance(valid, ParamError) else _SPECS[family].key(valid)
+
+    cells: list[SweepCell] = []
+    for _, group in itertools.groupby(checked, key=key):
+        given, run = zip(*group)
+        results = ([[run[0]] * len(corpus)] if isinstance(run[0], ParamError)
+                   else _run_cells(list(run), blocks, disc_tol))
         cells += [SweepCell(case, u.name, None, error=f"{type(r).__name__}: {r}")
                   if isinstance(r, FracineqError) else SweepCell(case, u.name, r)
-                  for u, r in zip(corpus, results)]
+                  for case, result in zip(given, results) for u, r in zip(corpus, result)]
     return cells

@@ -5,6 +5,7 @@ One test per acceptance criterion; each prints a single
 criterion at its stated tolerance.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -46,6 +47,7 @@ from fracineq import (
     validate_case,
 )
 from fracineq.cli import main as cli_main
+from fracineq.report import emit_payload_json, sweep_rows
 from conftest import order_fit
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -318,6 +320,22 @@ def test_criterion_4_soundness_sweep():
               f"in {elapsed:.1f}s" + (f"; first failures {failures[:3]}"
                                       if failures else ""))
     report(4, ok, detail)
+
+
+@pytest.mark.parametrize("n", [384, 129])
+def test_lattice_sweep_payloads_match_pinned_hashes(n):
+    # the sweep report of every family over the lattice, byte for byte: n = 384
+    # applies by FFT, odd n = 129 scores interpolated coarse copies
+    pin = json.loads((FIXTURES / "sweep_lattice_sha256.json").read_text())
+    grid = uniform_grid(pin["a"], pin["b"], n)
+    spec = pin["corpus"]
+    corpus = generate(CorpusSpec.polynomials(grid, spec["degree"], spec["count"], spec["seed"]))
+    hashes = {}
+    for family, cases in _lattices(pin["a"], pin["b"]).items():
+        payload = emit_payload_json(sweep_rows(sweep(family, cases, corpus)),
+                                    f"fracineq verify --family {family.value}")
+        hashes[family.value] = hashlib.sha256(payload.encode()).hexdigest()
+    assert hashes == pin["sha256"][str(n)]
 
 
 # -- criterion 5: sharpness probe -----------------------------------------------

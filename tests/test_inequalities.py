@@ -532,8 +532,9 @@ def test_sweep_raises_numeric_errors_and_records_hypothesis_errors():
     huge = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="hardy: non-finite certificate values"):
-            sweep(Family.HARDY, [case, huge], [ramp])
+        for cases in ([case, huge], [huge, case]):
+            with pytest.raises(NumericError, match="hardy: non-finite certificate values"):
+                sweep(Family.HARDY, cases, [ramp])
 
 
 # --- one certificate stage: sweep blocks against lone evaluations -------------
@@ -660,15 +661,139 @@ def test_largest_sweep_block_holds_five_arrays():
     corpus = generate(CorpusSpec.polynomials(grid, 3, rows, 1))
     the_case = case(Family.SEQ_GAGLIARDO_NIRENBERG, a=1.0, b=2.0, alpha=0.5, beta=0.8,
                     p=2.0, q=3.0, s=0.5)
-    tracemalloc.start()
-    try:
-        cells = sweep(Family.SEQ_GAGLIARDO_NIRENBERG, [the_case], corpus)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(cells) == rows and all(c.certificate is not None for c in cells)
     block = rows * (grid.n + 1) * 8
-    assert peak <= 5 * block + 3 * 8 * operators._FFT_CHUNK + 128 * rows
+    # a run of two cases scores both against one set of fine maps, which are
+    # released before the coarse maps are built
+    for cases in ([the_case], [the_case, replace(the_case, s=0.25)]):
+        tracemalloc.start()
+        try:
+            cells = sweep(Family.SEQ_GAGLIARDO_NIRENBERG, cases, corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == len(cases) * rows
+        assert all(c.certificate is not None for c in cells)
+        assert peak <= 5 * block + 3 * 8 * operators._FFT_CHUNK + 128 * rows, len(cases)
+        del cells
+
+
+# --- runs: consecutive cases that share their orders share their maps ---------
+
+def _count_applies(monkeypatch):
+    # (kind, order, n) of every OperatorMatrix.apply call, in order
+    from fracineq import operators
+
+    calls, apply = [], operators.OperatorMatrix.apply
+
+    def counting(self, samples):
+        calls.append((self.kind, self.order, self.grid.n))
+        return apply(self, samples)
+
+    monkeypatch.setattr(operators.OperatorMatrix, "apply", counting)
+    return calls
+
+
+def test_sweep_applies_each_operator_once_per_run(monkeypatch):
+    grid = uniform_grid(1.0, 2.0, 384)  # the FFT path, one block
+    corpus = generate(CorpusSpec.polynomials(grid, 3, 3, 7))
+    calls = _count_applies(monkeypatch)
+    cases = [case(Family.HARDY, a=1.0, b=2.0, alpha=al, p=p)
+             for al in (0.6, 0.75) for p in (2.0, 3.0, 4.0)]
+    cells = sweep(Family.HARDY, cases, corpus)
+    assert all(c.certificate.passed for c in cells)
+    # two runs, each on the fine and on the coarse grid
+    assert calls == [("caputo", 0.6, 384), ("caputo", 0.6, 192),
+                     ("caputo", 0.75, 384), ("caputo", 0.75, 192)]
+    calls.clear()
+    cases = [case(Family.SEQ_HARDY, a=1.0, b=2.0, alpha=al, beta=be, p=p)
+             for al in (0.8, 0.9) for be in (0.3, 0.6) for p in (2.0, 3.0, 4.0)]
+    cells = sweep(Family.SEQ_HARDY, cases, corpus)
+    assert all(c.certificate is not None for c in cells)
+    # the inner and the outer derivative, on the fine and on the coarse grid
+    assert calls == [("caputo", order, n)
+                     for al in (0.8, 0.9) for be in (0.3, 0.6)
+                     for n in (384, 192) for order in (be, al)]
+
+
+#: per family: a case, another exponent at the same orders, other orders
+RUNS = {
+    Family.HARDY: (dict(alpha=0.75, p=2.0), dict(p=3.0), dict(alpha=0.9)),
+    Family.SOBOLEV_BETA: (dict(alpha=0.9, beta=0.1, p=4.0), dict(p=6.0), dict(beta=0.0)),
+    Family.SEQ_HARDY: (dict(alpha=0.8, beta=0.4, p=2.0), dict(p=3.0), dict(beta=0.3)),
+    Family.SEQ_GAGLIARDO_NIRENBERG: (dict(alpha=0.5, beta=0.8, p=2.0, q=2.0, s=0.5),
+                                     dict(s=0.25), dict(alpha=0.4)),
+    Family.HAD_CKN: (dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2), dict(d=0.8),
+                     dict(alpha=0.8)),
+}
+
+
+@pytest.mark.parametrize("n", [129, 384])
+@pytest.mark.parametrize("family", list(RUNS))
+def test_broken_and_interleaved_runs_equal_lone_evaluations(family, n):
+    grid = uniform_grid(1.0, 2.0, n)
+    cubics = generate(CorpusSpec.polynomials(grid, 3, 4, 3))
+    lifted = GridFn(grid, grid.nodes, name="lifted")  # u(a) = 1: a run scores a subset
+    elsewhere = linear_fn(1.0, 3.0, n, name="on [1, 3]")  # a block of its own
+    corpus = cubics[:2] + [lifted, elsewhere] + cubics[2:]
+    by_name = {u.name: u for u in corpus}
+    base, same, other = RUNS[family]
+    a = case(family, a=1.0, b=2.0, **base)
+    a2, b = replace(a, **same), replace(a, **other)
+    invalid = replace(a, p=0.5)
+    mismatch = case(Family.CKN if family is Family.HARDY else Family.HARDY, a=1.0, b=2.0,
+                    alpha=0.9, p=2.0)
+    # orders A, B, A; a run split by an invalid case and by another family's case
+    cases = [a, a2, b, a, invalid, a2, mismatch, a]
+    cells = sweep(family, cases, corpus)
+    assert [(c.case, c.function) for c in cells] == \
+        [(k, u.name) for k in cases for u in corpus]
+    for cell in cells:
+        if cell.case is mismatch:
+            assert cell.error.startswith("ParamError: case family")
+            continue
+        certificate, error = _lone(cell.case, by_name[cell.function])
+        assert cell.error == error, (cell.case, cell.function)
+        assert cell.certificate == certificate, (cell.case, cell.function)
+    assert sum(c.certificate is not None for c in cells) >= 5 * len(cubics)
+    if family in (Family.HARDY, Family.HAD_CKN):  # the lifted row is not scored
+        assert all(c.error.startswith("HypothesisError") for c in cells
+                   if c.function == "lifted" and c.case in (a, a2, b))
+
+
+def test_a_raising_sweep_raises_the_first_error_in_case_order():
+    grid = uniform_grid(1.0, 2.0, 16)
+    ramp = GridFn(grid, grid.nodes - 1.0, name="ramp")
+    fine = case(Family.WEIGHTED_HARDY, a=1.0, b=2.0, alpha=0.9, p=2.0, gamma=0.0)
+    # one run: the same alpha; a side, and the constant, out of float range
+    big_p, big_gamma = replace(fine, p=1e300), replace(fine, gamma=1e300)
+
+    def message(cases, corpus):
+        with pytest.raises(NumericError) as raised:
+            sweep(Family.WEIGHTED_HARDY, cases, corpus)
+        return str(raised.value)
+
+    def lone(the_case, u):
+        with pytest.raises(NumericError) as raised:
+            evaluate_sides(the_case, u)
+        return str(raised.value)
+
+    assert lone(big_p, ramp) != lone(big_gamma, ramp)
+    assert message([fine, big_p, big_gamma], [ramp]) == lone(big_p, ramp)
+    assert message([fine, big_gamma, big_p], [ramp]) == lone(big_gamma, ramp)
+    # the second run raises
+    other = replace(fine, alpha=0.75)
+    assert message([other, replace(other, p=3.0), fine, big_gamma], [ramp]) == \
+        lone(big_gamma, ramp)
+    # a later case that raises in the first block yields to an earlier case
+    # that raises only in the second
+    grid32 = uniform_grid(1.0, 2.0, 32)
+    big = GridFn(grid32, 1e200 * (grid32.nodes - 1.0), name="big")  # squares overflow
+    hardy = case(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
+    huge = replace(hardy, p=1e300)
+    assert lone(hardy, big) != lone(huge, ramp)
+    with pytest.raises(NumericError) as raised:
+        sweep(Family.HARDY, [hardy, huge], [ramp, big])
+    assert str(raised.value) == lone(hardy, big)
 
 
 @pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])

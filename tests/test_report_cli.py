@@ -137,6 +137,26 @@ def test_cli_verify_fft_path_matches_fixture():
         assert run_cli(argv) == (0, line)
 
 
+#: runs of cases that share their orders, one payload per line: sobolev-beta
+#: over p with its order-beta map (beta = 0 included), and
+#: seq-gagliardo-nirenberg over s
+RUN_ARGVS = [
+    ["verify", "--family", "sobolev-beta", "--alpha", "0.85,0.9", "--beta", "0,0.1",
+     "--p", "4,6", "--a", "1", "--b", "2", "--n", "1024", "--corpus", "poly:3,3,7",
+     "--out", "json", "--no-timestamp"],
+    ["verify", "--family", "seq-gagliardo-nirenberg", "--alpha", "0.4,0.5", "--beta", "0.8",
+     "--p", "2", "--q", "3", "--s", "0.25,0.5,0.75", "--a", "1", "--b", "2", "--n", "1024",
+     "--corpus", "poly:3,3,7", "--out", "json", "--no-timestamp"],
+]
+
+
+def test_cli_verify_runs_match_fixture():
+    expected = (FIXTURES / "verify_runs.json").read_text().splitlines(keepends=True)
+    assert len(expected) == len(RUN_ARGVS)
+    for argv, line in zip(RUN_ARGVS, expected):
+        assert run_cli(argv) == (0, line)
+
+
 def test_cli_verify_matches_fixture():
     argv = ["verify", "--family", "hardy", "--alpha", "1", "--p", "2",
             "--a", "1", "--b", "2", "--n", "256", "--corpus", "poly:3,3,7",
