@@ -535,12 +535,6 @@ def _sides(spec: _Spec, case: InequalityCase, m: _Maps, cval: float):
     return lhs, product, ratio
 
 
-def _stops(exc: FracineqError) -> bool:
-    # a grid error (SizeError, such as an operator scale out of range) and a
-    # NumericError stop the run; any other error is a cell's
-    return isinstance(exc, (SizeError, NumericError))
-
-
 def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
            maps: Callable[[list[int]], _Maps], cval: float | None = None):
     """The certificate stage: the checks and the sides of a block of rows.
@@ -562,8 +556,10 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
         try:
             with np.errstate(all="ignore"):  # a side out of float range is refused below
                 lhs, product, ratio = _sides(spec, case, maps(rows), cval)
-        except FracineqError as exc:  # any error that does not stop is every scored row's
-            if _stops(exc):
+        except FracineqError as exc:
+            # a grid error (SizeError, such as an operator scale out of range) and
+            # a NumericError stop the run; any other error is every scored row's
+            if isinstance(exc, (SizeError, NumericError)):
                 raise
             return lhs, product, ratio, [error or exc for error in errors], cval
         for i, left, right in zip(rows, lhs.tolist(), product.tolist()):
@@ -574,8 +570,7 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
 
 
 def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
-                  disc_tol: float | None
-                  ) -> tuple[list[list[Certificate | FracineqError]], FracineqError | None]:
+                  disc_tol: float | None) -> list[list[Certificate | FracineqError]]:
     """The certificates, or row errors, of a run of cases over functions on one grid.
 
     The cases of a run share their operators (``_Spec.key``), and the
@@ -583,9 +578,9 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
     same rows: the operand and the maps of those rows are built once and
     each case is scored against them.  Then, unless ``disc_tol`` is given,
     the same for the coarse copies of the rows: the Richardson pass, built
-    once the fine maps are released.  Returns each case's cells, in order,
-    up to the first case that stops with a SizeError or NumericError (in
-    case order, the fine pass before the coarse), and that error or None.
+    once the fine maps are released.  Returns each case's cells, in order.
+    Raises SizeError and the first NumericError in case order, the fine pass
+    before the coarse.
     """
     g = fns[0].grid
     u = np.array([f.samples for f in fns])
@@ -593,8 +588,10 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
         _check_interval(cases[0], g)
         v = spec.operand(cases[0], g, u)
     except FracineqError as exc:
-        return ([], exc) if _stops(exc) else ([[exc] * len(fns) for _ in cases], None)
-    fine, scores, stop = [], [], None
+        if isinstance(exc, (SizeError, NumericError)):
+            raise
+        return [[exc] * len(fns) for _ in cases]
+    fine = []
 
     def maps(rows):
         # built by the first case that scores a row, then every case's
@@ -602,33 +599,25 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
             fine.append(spec.maps(cases[0], g, v if len(rows) == len(v) else v[rows]))
         return fine[0]
 
+    scores = []
     for case in cases:
-        try:
-            score = _score(spec, case, v[:, 0], maps)
-            stop = next((e for e in score[3] if isinstance(e, NumericError)), None)
-        except FracineqError as exc:  # a SizeError or a NumericError
-            stop = exc
-        if stop is not None:
-            break
-        scores.append(score)
+        scores.append(_score(spec, case, v[:, 0], maps))
+        numeric = [error for error in scores[-1][3] if isinstance(error, NumericError)]
+        if numeric:
+            raise numeric[0]
     del fine[:], v  # released before the coarse maps are built
     scored = [[i for i, error in enumerate(cells) if error is None] for *_, cells, _ in scores]
     tols = [np.full(len(rows), 1e-6 if disc_tol is None else float(disc_tol)) for rows in scored]
-    rows = max(scored, key=len, default=[])  # a case scores these rows or, on an error, none
+    rows = max(scored, key=len)  # a case scores these rows or, on an error, none
     if disc_tol is None and rows and g.n >= 4:
         coarse = uniform_grid(g.a, g.b, g.n // 2)  # every other node; interpolated for odd n
         x = (u[rows, ::2] if g.n % 2 == 0
              else np.array([np.interp(coarse.nodes, g.nodes, u[i]) for i in rows]))
-        k = scored.index(rows)  # the case that an error of the coarse maps stops
-        try:
-            with np.errstate(all="ignore"):
-                m = spec.maps(cases[k], coarse, spec.operand(cases[k], coarse, x))
-                for k, (case, (_, _, ratio, _, cval)) in enumerate(zip(cases, scores)):
-                    if scored[k]:
-                        tols[k] += np.abs(ratio - _sides(spec, case, m, cval)[2])
-        except FracineqError as exc:
-            del scores[k:]
-            stop = exc
+        with np.errstate(all="ignore"):
+            m = spec.maps(cases[0], coarse, spec.operand(cases[0], coarse, x))
+            for case, (_, _, ratio, _, cval), tol in zip(cases, scores, tols):
+                if len(tol):
+                    tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
     results = []
     for case, (lhs, product, ratio, cells, cval), rows, tol in zip(cases, scores, scored, tols):
         for k, i in enumerate(rows):
@@ -636,7 +625,7 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
                                    float(cval * product[k]), float(ratio[k]), float(tol[k]),
                                    bool(ratio[k] <= 1.0 + tol[k]), g.n)
         results.append(cells)
-    return results, stop
+    return results
 
 
 def evaluate_sides(case: InequalityCase, u: GridFn,
@@ -651,8 +640,7 @@ def evaluate_sides(case: InequalityCase, u: GridFn,
     """
     case = validate_case(case)
     _check_disc_tol(disc_tol)
-    cells, stop = _certificates(_SPECS[case.family], [case], [u], disc_tol)
-    result = stop or cells[0][0]
+    [[result]] = _certificates(_SPECS[case.family], [case], [u], disc_tol)
     if isinstance(result, FracineqError):
         raise result
     return result
@@ -694,17 +682,24 @@ _BLOCK_SAMPLES = MAX_N + 1
 
 def _run_cells(run: list[InequalityCase], blocks: list[list[GridFn]],
                disc_tol: float | None) -> list[list[Certificate | FracineqError]]:
-    """Each case's cells over the blocks; raises the first stop in case order."""
-    results, stop = [[] for _ in run], None
-    for block in blocks:
-        more, error = _certificates(_SPECS[run[0].family], run[:len(results)], block, disc_tol)
-        if error is not None:  # raised before any cell of a later case
-            del results[len(more):]
-            stop = error
-        for result, cells in zip(results, more):
-            result += cells
-    if stop is not None:
-        raise stop
+    """Each case's cells of a run over the blocks, scored block by block.
+
+    A run that raises is scored again case by case, so it raises the first
+    SizeError or NumericError in case order, and any other error is every
+    cell of its case.
+    """
+    results = [[] for _ in run]
+    try:
+        for block in blocks:
+            for result, cells in zip(results, _certificates(_SPECS[run[0].family], run, block,
+                                                            disc_tol)):
+                result += cells
+    except FracineqError as exc:
+        if len(run) > 1:
+            return [cells for case in run for cells in _run_cells([case], blocks, disc_tol)]
+        if isinstance(exc, (SizeError, NumericError)):
+            raise
+        return [[exc] * sum(map(len, blocks))]
     return results
 
 

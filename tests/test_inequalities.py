@@ -794,6 +794,14 @@ def test_a_raising_sweep_raises_the_first_error_in_case_order():
     with pytest.raises(NumericError) as raised:
         sweep(Family.HARDY, [hardy, huge], [ramp, big])
     assert str(raised.value) == lone(hardy, big)
+    # a run that stops before its last block: three blocks on three grids
+    grid64 = uniform_grid(1.0, 2.0, 64)
+    corpus = [ramp, big, GridFn(grid64, grid64.nodes - 1.0, name="ramp64")]
+    for cases, first in (([huge], lone(huge, ramp)), ([hardy, huge], lone(hardy, big)),
+                         ([huge, hardy], lone(huge, ramp))):
+        with pytest.raises(NumericError) as raised:
+            sweep(Family.HARDY, cases, corpus)
+        assert str(raised.value) == first
 
 
 @pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])
