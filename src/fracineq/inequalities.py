@@ -459,7 +459,8 @@ def validate_case(case: InequalityCase) -> InequalityCase:
 def _constant(spec: _Spec, case: InequalityCase) -> float:
     span = abs(np.log(case.b / case.a)) if spec.hadamard else case.b - case.a
     try:
-        value = spec.constant(case, getattr(case, spec.order), span)
+        with np.errstate(all="ignore"):  # a numpy product out of float range is inf
+            value = spec.constant(case, getattr(case, spec.order), span)
     except (OverflowError, ZeroDivisionError):  # a power out of float range
         value = math.inf
     if not np.isfinite(value) or value <= 0.0:
@@ -541,8 +542,9 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
 
     ``at_a`` holds each row's operand value at a; ``maps(rows)`` builds the
     maps of those rows.  Returns lhs, rhs norm product and ratio of the rows
-    that pass the boundary check, in order, each row's failed check or None,
-    and the constant, computed unless given once a row passes.
+    that pass the boundary check, in order, each row's error or None, and
+    the constant, computed unless given once a row passes.  An error of the
+    constant or of the sides is every scored row's error; nothing is raised.
     """
     what = "function" if spec.inner is None else "inner derivative"
     errors = [HypothesisError(f"{case.family.value}: {what} must vanish at a (|value| = "
@@ -552,15 +554,11 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
     lhs = product = ratio = np.empty(0)
     rows = [i for i, error in enumerate(errors) if error is None]
     if rows:
-        cval = _constant(spec, case) if cval is None else cval
         try:
+            cval = _constant(spec, case) if cval is None else cval
             with np.errstate(all="ignore"):  # a side out of float range is refused below
                 lhs, product, ratio = _sides(spec, case, maps(rows), cval)
         except FracineqError as exc:
-            # a grid error (SizeError, such as an operator scale out of range) and
-            # a NumericError stop the run; any other error is every scored row's
-            if isinstance(exc, (SizeError, NumericError)):
-                raise
             return lhs, product, ratio, [error or exc for error in errors], cval
         for i, left, right in zip(rows, lhs.tolist(), product.tolist()):
             if not (math.isfinite(left) and math.isfinite(right)):
@@ -575,12 +573,12 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
 
     The cases of a run share their operators (``_Spec.key``), and the
     boundary check depends only on the operand, so every case scores the
-    same rows: the operand and the maps of those rows are built once and
-    each case is scored against them.  Then, unless ``disc_tol`` is given,
-    the same for the coarse copies of the rows: the Richardson pass, built
-    once the fine maps are released.  Returns each case's cells, in order.
-    Raises SizeError and the first NumericError in case order, the fine pass
-    before the coarse.
+    same rows: the operand and the maps of those rows are built once, by the
+    first case that scores a row, and each case is scored against them.
+    Then, unless ``disc_tol`` is given, the same for the coarse copies of
+    the rows: the Richardson pass, built once the fine maps are released.
+    Returns each case's cells, in order.  Every error is a cell, SizeError
+    and NumericError included; nothing is raised.
     """
     g = fns[0].grid
     u = np.array([f.samples for f in fns])
@@ -588,44 +586,36 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
         _check_interval(cases[0], g)
         v = spec.operand(cases[0], g, u)
     except FracineqError as exc:
-        if isinstance(exc, (SizeError, NumericError)):
-            raise
         return [[exc] * len(fns) for _ in cases]
-    fine = []
+    fine = []  # the rows every case scores, and their maps
 
     def maps(rows):
-        # built by the first case that scores a row, then every case's
         if not fine:
-            fine.append(spec.maps(cases[0], g, v if len(rows) == len(v) else v[rows]))
-        return fine[0]
+            fine[:] = rows, spec.maps(cases[0], g, v if len(rows) == len(v) else v[rows])
+        return fine[1]
 
-    scores = []
-    for case in cases:
-        scores.append(_score(spec, case, v[:, 0], maps))
-        numeric = [error for error in scores[-1][3] if isinstance(error, NumericError)]
-        if numeric:
-            raise numeric[0]
+    scores = [_score(spec, case, v[:, 0], maps) for case in cases]
+    rows = fine[0] if fine else []
     del fine[:], v  # released before the coarse maps are built
-    scored = [[i for i, error in enumerate(cells) if error is None] for *_, cells, _ in scores]
-    tols = [np.full(len(rows), 1e-6 if disc_tol is None else float(disc_tol)) for rows in scored]
-    rows = max(scored, key=len)  # a case scores these rows or, on an error, none
-    if disc_tol is None and rows and g.n >= 4:
+    tols = [np.full(len(ratio), 1e-6 if disc_tol is None else float(disc_tol))
+            for _, _, ratio, _, _ in scores]
+    if disc_tol is None and g.n >= 4 and any(map(len, tols)):
         coarse = uniform_grid(g.a, g.b, g.n // 2)  # every other node; interpolated for odd n
         x = (u[rows, ::2] if g.n % 2 == 0
              else np.array([np.interp(coarse.nodes, g.nodes, u[i]) for i in rows]))
         with np.errstate(all="ignore"):
+            # no check fails here that passed on the fine grid: 2h only shrinks h^-alpha
             m = spec.maps(cases[0], coarse, spec.operand(cases[0], coarse, x))
             for case, (_, _, ratio, _, cval), tol in zip(cases, scores, tols):
                 if len(tol):
                     tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
-    results = []
-    for case, (lhs, product, ratio, cells, cval), rows, tol in zip(cases, scores, scored, tols):
+    for case, (lhs, product, ratio, cells, cval), tol in zip(cases, scores, tols):
         for k, i in enumerate(rows):
-            cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]), cval,
-                                   float(cval * product[k]), float(ratio[k]), float(tol[k]),
-                                   bool(ratio[k] <= 1.0 + tol[k]), g.n)
-        results.append(cells)
-    return results
+            if cells[i] is None:
+                cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]),
+                                       cval, float(cval * product[k]), float(ratio[k]),
+                                       float(tol[k]), bool(ratio[k] <= 1.0 + tol[k]), g.n)
+    return [cells for _, _, _, cells, _ in scores]
 
 
 def evaluate_sides(case: InequalityCase, u: GridFn,
@@ -680,42 +670,20 @@ class BasisSides:
 _BLOCK_SAMPLES = MAX_N + 1
 
 
-def _run_cells(run: list[InequalityCase], blocks: list[list[GridFn]],
-               disc_tol: float | None) -> list[list[Certificate | FracineqError]]:
-    """Each case's cells of a run over the blocks, scored block by block.
-
-    A run that raises is scored again case by case, so it raises the first
-    SizeError or NumericError in case order, and any other error is every
-    cell of its case.
-    """
-    results = [[] for _ in run]
-    try:
-        for block in blocks:
-            for result, cells in zip(results, _certificates(_SPECS[run[0].family], run, block,
-                                                            disc_tol)):
-                result += cells
-    except FracineqError as exc:
-        if len(run) > 1:
-            return [cells for case in run for cells in _run_cells([case], blocks, disc_tol)]
-        if isinstance(exc, (SizeError, NumericError)):
-            raise
-        return [[exc] * sum(map(len, blocks))]
-    return results
-
-
 def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
           disc_tol: float | None = None) -> list[SweepCell]:
     """Evaluate the full cases x corpus cross product, lattice-major.
 
     Per-cell errors are captured in the cell instead of aborting the sweep,
     so one invalid case or one hypothesis violation leaves the remaining
-    cells intact.  A SizeError concerns the grid, not the cell, and a
-    NumericError a computation, not the input; the first in case order is
-    raised.  Each case is validated once.  Consecutive valid cases that
-    share their orders form a run, which scores the corpus in blocks of
-    consecutive functions on one grid, at most MAX_N + 1 samples per array,
-    so each operator is applied once per run and block.  An invalid
-    ``disc_tol`` raises ParamError before any cell is evaluated.
+    cells intact.  Each case is validated once.  Consecutive valid cases
+    that share their orders form a run, which scores the corpus in blocks
+    of consecutive functions on one grid, at most MAX_N + 1 samples per
+    array, so each operator is applied once per run and block.  A SizeError
+    concerns the grid, not the cell, and a NumericError a computation, not
+    the input: once a run is scored, its first such cell, in case order and
+    then corpus order, is raised.  An invalid ``disc_tol`` raises ParamError
+    before any cell is evaluated.
     """
     _check_disc_tol(disc_tol)
     blocks = []
@@ -739,8 +707,14 @@ def sweep(family: Family, cases: list[InequalityCase], corpus: list[GridFn],
     cells: list[SweepCell] = []
     for _, group in itertools.groupby(checked, key=key):
         given, run = zip(*group)
+        # each case's cells, block after block
         results = ([[run[0]] * len(corpus)] if isinstance(run[0], ParamError)
-                   else _run_cells(list(run), blocks, disc_tol))
+                   else [list(itertools.chain(*parts)) for parts in zip(*[
+                       _certificates(_SPECS[family], list(run), block, disc_tol)
+                       for block in blocks])])
+        for r in itertools.chain(*results):  # in case order, then corpus order
+            if isinstance(r, (SizeError, NumericError)):
+                raise r
         cells += [SweepCell(case, u.name, None, error=f"{type(r).__name__}: {r}")
                   if isinstance(r, FracineqError) else SweepCell(case, u.name, r)
                   for case, result in zip(given, results) for u, r in zip(corpus, result)]

@@ -17,6 +17,7 @@ from fracineq import (
     NormKind,
     NumericError,
     ParamError,
+    SizeError,
     caputo_derivative,
     constant,
     evaluate_sides,
@@ -256,6 +257,16 @@ def test_ckn_composes_weighted_hardy_to_the_delta():
     cw = constant(case(Family.WEIGHTED_HARDY, gamma=-1.2, **kw))
     cc = constant(case(Family.CKN, q=2.0, delta=0.5, d=1.2, e=0.0, **kw))
     assert cc == pytest.approx(cw**0.5, rel=1e-14)
+
+
+def test_an_overflowing_constant_is_refused_without_a_warning():
+    # b^|d| times the chain overflows on [1, 1e300]: refused, and numpy warns of nothing
+    c = case(Family.HAD_CKN, a=1.0, b=1e300, alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0,
+             e=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"constant is not a positive finite number"):
+            constant(c)
 
 
 def test_ps_constant_blows_up_as_alpha_drops_to_1_over_p():
@@ -802,6 +813,41 @@ def test_a_raising_sweep_raises_the_first_error_in_case_order():
         with pytest.raises(NumericError) as raised:
             sweep(Family.HARDY, cases, corpus)
         assert str(raised.value) == first
+
+
+def test_a_raising_run_is_scored_once(monkeypatch):
+    # every block of the run is scored once, fine and coarse, before the
+    # run's first error is raised
+    grid, grid32, grid64 = (uniform_grid(1.0, 2.0, n) for n in (16, 32, 64))
+    corpus = [GridFn(grid, grid.nodes - 1.0, name="ramp"),
+              GridFn(grid64, grid64.nodes - 1.0, name="ramp64"),
+              GridFn(grid32, 1e200 * (grid32.nodes - 1.0), name="big")]  # squares overflow
+    hardy = case(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
+    with pytest.raises(NumericError) as expected:
+        evaluate_sides(hardy, corpus[2])
+    calls = _count_applies(monkeypatch)
+    with pytest.raises(NumericError) as raised:
+        sweep(Family.HARDY, [hardy, replace(hardy, p=3.0)], corpus)
+    assert str(raised.value) == str(expected.value)
+    assert calls == [("caputo", 0.8, n) for n in (16, 8, 64, 32, 32, 16)]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_run_raises_the_size_error_of_its_grid(n):
+    # the operator scale h^-0.999 / Gamma(1.001) overflows on [0, 1e-320]
+    grid = uniform_grid(0.0, 1e-320, n)
+    lifted = GridFn(grid, 1.0 + grid.nodes, name="1+t")  # fails the boundary check
+    t = GridFn(grid, grid.nodes, name="t")
+    cases = [case(Family.POINCARE_SOBOLEV, a=0.0, b=1e-320, alpha=0.999, p=p)
+             for p in (2.0, 3.0)]
+    with pytest.raises(SizeError) as expected:
+        evaluate_sides(cases[0], t)
+    with pytest.raises(SizeError) as raised:
+        sweep(Family.POINCARE_SOBOLEV, cases, [lifted, t])
+    assert str(raised.value) == str(expected.value)
+    # with no row scored, no operator is built
+    cells = sweep(Family.POINCARE_SOBOLEV, cases, [lifted])
+    assert [c.error.split(":")[0] for c in cells] == ["HypothesisError"] * len(cases)
 
 
 @pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])

@@ -2,6 +2,9 @@ import argparse
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -148,6 +151,23 @@ RUN_ARGVS = [
      "--p", "2", "--q", "3", "--s", "0.25,0.5,0.75", "--a", "1", "--b", "2", "--n", "1024",
      "--corpus", "poly:3,3,7", "--out", "json", "--no-timestamp"],
 ]
+
+
+def test_cli_module_runs_as_a_script():
+    # python -m fracineq.cli is the console script: the same bytes and exit codes
+    src = str(Path(cli.__file__).parent.parent)
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "fracineq.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+
+    argv = ["verify", "--family", "hardy", "--alpha", "1", "--p", "2", "--a", "1", "--b", "2",
+            "--n", "256", "--corpus", "poly:3,3,7", "--out", "json", "--no-timestamp"]
+    done = run(argv)
+    assert (done.returncode, done.stdout) == (0, (FIXTURES / "verify_hardy.json").read_text())
+    done = run(argv + ["--out", "csv"])  # verify renders JSON only
+    assert (done.returncode, done.stdout) == (2, "")
 
 
 def test_cli_verify_runs_match_fixture():
