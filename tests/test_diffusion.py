@@ -58,6 +58,29 @@ def test_stiffness_toeplitz_matches_dense_product(alpha, n):
     assert np.max(np.abs(k - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+def _stiffness_by_diagonals(grid, alpha):
+    # reference: one cumulative sum per diagonal d, over the products b[m] b[m-d]
+    # for m = d..n-1, written to both triangles
+    n, h = grid.n, grid.h
+    b = operator_matrix(grid, alpha, "caputo").band[:n]
+    k = np.empty((n, n))
+    flat = k.reshape(-1)
+    for d in range(n):
+        prod = b[d:] * b[:n - d]
+        diagonal = (h * np.cumsum(prod) - 0.5 * h * prod)[::-1]
+        flat[d:n * (n - d):n + 1] = diagonal
+        flat[d * n::n + 1] = diagonal
+    return k
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 129, 1024])
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
+def test_stiffness_rows_equal_the_diagonal_sums_bit_for_bit(alpha, n):
+    grid = uniform_grid(0.0, 1.0, n)
+    k = assemble_stiffness(grid, alpha)
+    assert k.tobytes() == _stiffness_by_diagonals(grid, alpha).tobytes()
+
+
 def test_stiffness_energy_identity():
     # u^T K u equals the discrete squared L2 norm of the derivative
     grid = uniform_grid(0.0, 1.0, 64)
@@ -129,6 +152,31 @@ def test_problem_validation():
             DiffusionProblem(grid, 0.75, good, T=T, dt=dt)
 
 
+@pytest.mark.parametrize(("T", "dt", "steps"), [
+    (0.031309, 1e-6, 31309),
+    (1.60286, 1e-5, 160286),
+    (16.4959, 1e-4, 164959),
+    (161.17, 1e-3, 161170),
+    (322.34, 2e-3, 161170),
+    (2017.12, 1e-2, 201712),
+    (16408.8, 0.1, 164088),
+])
+def test_nsteps_counts_a_decimal_multiple_of_dt_in_full(T, dt, steps):
+    # T/dt rounds to just below the integer here, by more than an absolute 1e-12
+    grid = uniform_grid(0.0, 1.0, 16)
+    u0 = GridFn(grid, grid.nodes.copy())
+    assert T / dt < steps
+    assert DiffusionProblem(grid, 0.75, u0, T=T, dt=dt).nsteps == steps
+
+
+def test_nsteps_rounds_down_beyond_the_slack():
+    grid = uniform_grid(0.0, 1.0, 16)
+    u0 = GridFn(grid, grid.nodes.copy())
+    for T, dt, steps in ((0.999999, 1e-3, 999), (16.384 * (1.0 - 1e-10), 1e-3, 16383),
+                         (1.0, 1.0, 1), (0.5 * (1.0 - 1e-11), 0.25, 1)):
+        assert DiffusionProblem(grid, 0.75, u0, T=T, dt=dt).nsteps == steps
+
+
 @pytest.mark.parametrize("alpha", [0.75, 1.0])
 def test_run_equals_loop_of_step_bit_for_bit(alpha):
     problem = make_problem(alpha=alpha, n=32, T=0.05, dt=1e-3)
@@ -168,6 +216,33 @@ def test_run_below_order_one_matches_cho_solve(alpha, n):
     expect = _energies(problem, scipy.linalg.cho_solve)
     assert energy.size == expect.size == 21
     assert np.max(np.abs(energy - expect) / expect) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
+def test_run_below_order_one_stays_accurate_over_500_steps(alpha, n):
+    # the inverse of M + dt K, applied 500 times, against LAPACK's potrs
+    problem = make_problem(alpha=alpha, n=n, T=1.0, dt=2e-3,
+                           profile=lambda t: t + np.sin(7.0 * np.pi * t))
+    energy = run(problem).energy
+    expect = _energies(problem, scipy.linalg.cho_solve)
+    assert energy.size == expect.size == 501
+    assert np.max(np.abs(energy - expect) / expect) <= 1e-12
+
+
+def test_run_below_order_one_keeps_one_dense_array():
+    # the inverse overwrites the Cholesky factor, which overwrites K, and the
+    # product reads it without a copy; tracemalloc sees numpy's arrays only,
+    # not the workspace OpenBLAS allocates inside dpotri
+    n = 1024
+    problem = make_problem(alpha=0.75, n=n, T=0.01, dt=1e-3)
+    tracemalloc.start()
+    try:
+        run(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 @pytest.mark.parametrize("n", [32, 129])

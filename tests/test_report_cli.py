@@ -484,6 +484,16 @@ def test_cli_exit_code_is_the_error_class_code(error, expected, monkeypatch, cap
     assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
 
+def test_cli_diffuse_ends_at_T_for_a_decimal_multiple_of_dt():
+    # 0.031309 / 1e-6 rounds to 31308.999999999996; the run still takes 31,309 steps
+    code, out = run_cli(["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1", "--n", "16",
+                         "--T", "0.031309", "--dt", "1e-6", "--no-timestamp"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 31310
+    assert abs(float(lines[-1].split(",")[0]) - 0.031309) <= 1e-12
+
+
 def test_cli_diffuse_expression_initial_data():
     code, out = run_cli(["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1",
                          "--n", "32", "--T", "0.01", "--dt", "0.005",
