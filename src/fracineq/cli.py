@@ -92,8 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
         sh.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None)
     add_interval(sh, with_n=False)
     sh.add_argument("--n", type=int, default=256)
-    sh.add_argument("--budget", type=int, default=500)
-    sh.add_argument("--seed", type=int, default=0)
+    sh.add_argument("--budget", type=int, default=500,
+                    help="0 reports u = t - a; for the p = 2 quotient families (poincare-sobolev, "
+                         "-lq with theta = 2, sobolev-beta, hardy, weighted-hardy and their "
+                         "sequential and hadamard twins) any budget >= 1 takes the exact "
+                         "optimum over the basis; otherwise the compass trials after the first")
+    sh.add_argument("--seed", type=int, default=0,
+                    help="random restarts of the compass search; unused by the exact optimum")
     sh.add_argument("--degree", type=int, default=4)
     add_output(sh)
 

@@ -151,48 +151,52 @@ def _first_gain(sides: BasisSides, trials: np.ndarray,
     return None
 
 
-def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
-                     degree: int = 4, grid_n: int = 256) -> SharpnessResult:
-    """Search polynomial coefficient space for the largest certificate ratio.
+def _exact(left: np.ndarray, left_w: np.ndarray | None, right: np.ndarray,
+           right_w: np.ndarray) -> np.ndarray | None:
+    """The best coefficients over the basis of ``BasisSides.quotient()``, or None.
 
-    Derivative-free compass search with shrinking steps and seeded random
-    restarts over functions (t - a) * q(t) with q of the given degree.  The
-    initial iterate is q = 1.  A round tries +step and -step on each
-    coefficient in turn from the best coefficients so far; a trial replaces
-    them only when its ratio exceeds theirs by the relative margin
-    IMPROVEMENT_MARGIN.  A round without a gain halves the step, and below
-    1e-3 a random restart is tried and the step reset to 0.5.  ``budget``
-    counts trials after the initial iterate and may not be negative; the
-    deterministic proposal sequence makes the best ratio monotone in the
-    budget for a fixed seed.
-
-    The search compares ratios on the grid alone.  Each candidate is linear
-    in its coefficients, so a :class:`BasisSides` over the degree + 1
-    monomials scores the rest of a round as one block, keeping the trials up
-    to the first gain.  The returned certificate is :func:`evaluate_sides`
-    of the best coefficients, with its Richardson pass.  The basis holds
-    (degree + 1) (grid_n + 1) floats per array, so that count is limited to
-    the samples of the largest grid, MAX_N + 1.
+    The rhs norm product of coefficients c is |B^T c|, with B the right map
+    scaled by the root of its node weights.  With B = U S V^T over the
+    directions whose singular value exceeds (degree + 1) eps max(S),
+    c = U S^-1 y has product |y|, and the lhs is a norm of y^T Z with the
+    whitened left map Z = S^-1 U^T left.  Over |y| = 1 the largest L^2 norm
+    is the top singular value of Z scaled by the root of its node weights,
+    and the largest sup norm the longest column of Z, the dual norm of one
+    node's values (Golub & Van Loan, Matrix Computations, 8.7).  Returns c
+    scaled to max |c_k| = 1, or None for a zero right map or a value out of
+    float range.
     """
-    case = validate_case(case)
-    grid = Grid(case.a, case.b, grid_n)
-    _check_polynomial(grid, degree, seed, "sharpness search")
-    if budget < 0:
-        raise ParamError(f"sharpness search needs budget >= 0 (got {budget})")
-    if (degree + 1) * (grid.n + 1) > MAX_N + 1:
-        raise SizeError(
-            f"sharpness search needs (degree + 1)(n + 1) <= {MAX_N + 1} "
-            f"(got degree={degree}, n={grid.n})"
-        )
+    with np.errstate(all="ignore"):  # a value out of float range returns None below
+        b = right * np.sqrt(right_w)
+        scaled = left if left_w is None else left * np.sqrt(left_w)
+        if not (np.isfinite(b).all() and np.isfinite(scaled).all()):
+            return None
+        # the singular values and left vectors of B are those of the triangle
+        # R^T of B^T = QR, which never forms a (degree + 1) x (n + 1) factor
+        u, s, _ = np.linalg.svd(np.linalg.qr(b.T, mode="r").T)
+        keep = s > s.size * np.finfo(float).eps * s[0]
+        if not keep.any():
+            return None
+        whiten = u[:, keep] / s[keep]
+        z = whiten.T @ scaled
+        if left_w is None:
+            y = z[:, np.argmax(np.einsum("ij,ij->j", z, z))]
+        else:
+            y = np.linalg.svd(np.linalg.qr(z.T, mode="r").T)[0][:, 0]
+        c = whiten @ y
+    if not np.isfinite(c).all():
+        return None
+    return c / c[np.argmax(np.abs(c))]
+
+
+def _compass(sides: BasisSides, best_coeffs: np.ndarray, best_ratio: float, budget: int,
+             seed: int) -> np.ndarray:
+    # the compass rounds of sharpness_search from the given best; returns the best coefficients
     rng = np.random.default_rng(seed)
-    sides = BasisSides(case, [_candidate(grid, e) for e in np.eye(degree + 1)])
+    degree = best_coeffs.size - 1
     # the coordinate moves of one round, in proposal order
     axes = np.repeat(np.arange(degree + 1), 2)
     signs = np.tile([1.0, -1.0], degree + 1)
-
-    best_coeffs = np.zeros(degree + 1)
-    best_coeffs[0] = 1.0
-    best_ratio = _first_gain(sides, best_coeffs[None, :], -math.inf)[1]  # any ratio beats -inf
     evals = 0
     step = 0.5
     while evals < budget:
@@ -222,4 +226,63 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
                 if gain is not None:
                     best_coeffs, best_ratio = trial, gain[1]
                 step = 0.5
+    return best_coeffs
+
+
+def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
+                     degree: int = 4, grid_n: int = 256) -> SharpnessResult:
+    """Search polynomial coefficient space for the largest certificate ratio.
+
+    The candidates are functions (t - a) * q(t) with q of the given degree,
+    and the initial iterate is q = 1.  ``budget`` may not be negative; at 0
+    the initial iterate is the result.
+
+    For a family whose sides are the norm of one map over the L^2 norm of
+    the derivative, at p = 2 with an L^2 or sup norm on the left
+    (poincare-sobolev, poincare-sobolev-lq with theta = 2, sobolev-beta,
+    hardy, weighted-hardy and their sequential and Hadamard twins), a
+    positive budget takes the exact optimum over the degree + 1 basis, a
+    singular-value problem of that size (:func:`_exact`), and ``seed`` is
+    not used.  It replaces the initial iterate when its ratio exceeds the
+    initial ratio by the relative margin IMPROVEMENT_MARGIN; a zero right
+    map or a basis value out of float range has no optimum and keeps it.
+
+    Every other case runs a derivative-free compass search with shrinking
+    steps and seeded random restarts.  A round tries +step and -step on each
+    coefficient in turn from the best coefficients so far; a trial replaces
+    them only when its ratio exceeds theirs by IMPROVEMENT_MARGIN.  A round
+    without a gain halves the step, and below 1e-3 a random restart is tried
+    and the step reset to 0.5.  ``budget`` counts trials after the initial
+    iterate; the deterministic proposal sequence makes the best ratio
+    monotone in the budget for a fixed seed.
+
+    The search compares ratios on the grid alone.  Each candidate is linear
+    in its coefficients, so a :class:`BasisSides` over the degree + 1
+    monomials scores the rest of a round as one block, keeping the trials up
+    to the first gain.  The returned certificate is :func:`evaluate_sides`
+    of the best coefficients, with its Richardson pass.  The basis holds
+    (degree + 1) (grid_n + 1) floats per array, so that count is limited to
+    the samples of the largest grid, MAX_N + 1.
+    """
+    case = validate_case(case)
+    grid = Grid(case.a, case.b, grid_n)
+    _check_polynomial(grid, degree, seed, "sharpness search")
+    if budget < 0:
+        raise ParamError(f"sharpness search needs budget >= 0 (got {budget})")
+    if (degree + 1) * (grid.n + 1) > MAX_N + 1:
+        raise SizeError(
+            f"sharpness search needs (degree + 1)(n + 1) <= {MAX_N + 1} "
+            f"(got degree={degree}, n={grid.n})"
+        )
+    sides = BasisSides(case, [_candidate(grid, e) for e in np.eye(degree + 1)])
+    best_coeffs = np.zeros(degree + 1)
+    best_coeffs[0] = 1.0
+    best_ratio = _first_gain(sides, best_coeffs[None, :], -math.inf)[1]  # any ratio beats -inf
+    forms = sides.quotient() if budget else None
+    if forms is None:
+        best_coeffs = _compass(sides, best_coeffs, best_ratio, budget, seed)
+    else:
+        exact = _exact(*forms)
+        if exact is not None and _first_gain(sides, exact[None, :], best_ratio) is not None:
+            best_coeffs = exact
     return SharpnessResult(evaluate_sides(case, _candidate(grid, best_coeffs)), best_coeffs)

@@ -27,6 +27,7 @@ __all__ = [
     "refine",
     "norm",
     "nodal_norm",
+    "norm_weights",
     "trapezoid",
     "lp_trapezoid",
 ]
@@ -212,19 +213,22 @@ def nodal_norm(values: np.ndarray, grid: Grid, kind: NormKind) -> float | np.nda
     if kind.kind == "sup":
         peak = np.abs(values).max(axis=-1)
         return float(peak) if peak.ndim == 0 else peak
+    return lp_trapezoid(values, grid.h, kind.p, norm_weights(grid, kind))
+
+
+def norm_weights(grid: Grid, kind: NormKind) -> np.ndarray | None:
+    """The weight per node of an L^p kind of :func:`norm`, None for plain L^p."""
     p = kind.p
     if p is None or p < 1.0:
         raise DomainError(f"norm exponent must satisfy p >= 1 (got {p})")
     if kind.kind == "lp":
-        weights = None
-    elif kind.kind == "weighted":
+        return None
+    if kind.kind == "weighted":
         if grid.a <= 0.0:
             raise DomainError("weighted L^p norm requires a > 0")
-        weights = grid.nodes ** (kind.gamma * p)
-    elif kind.kind == "logweighted":
+        return grid.nodes ** (kind.gamma * p)
+    if kind.kind == "logweighted":
         if grid.a <= 0.0:
             raise DomainError("log-weighted L^p norm requires a > 0")
-        weights = 1.0 / grid.nodes
-    else:
-        raise DomainError(f"unknown norm kind {kind.kind!r}")
-    return lp_trapezoid(values, grid.h, p, weights)
+        return 1.0 / grid.nodes
+    raise DomainError(f"unknown norm kind {kind.kind!r}")

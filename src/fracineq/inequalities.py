@@ -13,7 +13,9 @@ the change of the ratio between the evaluation grid and one coarser grid.
 The 17 families are driven by a private registry with one record per
 family: the fields it uses, its hypothesis check, and its shape, the
 constant and the sides of one chain of inequalities.  Eight shapes cover
-every family.  A Hadamard record is its standard twin with the Hadamard
+every family: five quotients, the norm of one map over one norm of the
+derivative, each written as a ``_Quotient`` record, and three products of
+norm powers.  A Hadamard record is its standard twin with the Hadamard
 derivative, which lives on the companion grid sigma = log(t/a), and with
 span = log(b/a) in place of b - a in the constant.  A sequential record
 applies its shape to the inner derivative v = D^inner u, which must then
@@ -36,7 +38,8 @@ import numpy as np
 
 from .errors import (DomainError, FracineqError, HypothesisError, NumericError, ParamError,
                      SizeError)
-from .grids import MAX_N, Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, uniform_grid
+from .grids import (MAX_N, Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, norm_weights,
+                    uniform_grid)
 from .operators import apply_operator, log_companion_grid, log_companion_times
 # targets that perfbench/tracer.py wraps here, although no certificate calls them
 from .grids import norm  # noqa: F401
@@ -303,25 +306,33 @@ def _pow(x: np.ndarray, exponent: float) -> np.ndarray:
     return np.array([value**exponent for value in x.tolist()])
 
 
-def _sides_sup(spec, case, m):
-    return _norm(m, NormKind.sup()), spec.dnorm(case, m, case.p)
+class _Quotient(NamedTuple):
+    """The ``sides`` of a quotient family: a norm of one map over the L^p norm of dv.
 
+    The left norm is the sup norm, or the L^q norm with q the field
+    ``exponent``; ``weighted`` puts the weight x^(-(g + 1) q) on the left and
+    x^(-g p) on the right, with g the field gamma, 0 when absent.
+    """
 
-def _sides_lq(spec, case, m):
-    return _norm(m, NormKind.lp(case.theta)), spec.dnorm(case, m, case.p)
+    low: bool = False  # the left map is the order-beta derivative, not the operand
+    exponent: str | None = None
+    weighted: bool = False
 
+    def left(self, case: InequalityCase) -> NormKind:
+        if self.exponent is None:
+            return NormKind.sup()
+        q = getattr(case, self.exponent)
+        if not self.weighted:
+            return NormKind.lp(q)
+        return NormKind.weighted_lp(q, -((case.gamma or 0.0) + 1.0))
 
-def _sides_beta(spec, case, m):
-    return nodal_norm(m.low, m.grid, NormKind.sup()), spec.dnorm(case, m, case.p)
+    def power(self, case: InequalityCase) -> float:
+        # the weight power of the derivative on the right
+        return -(case.gamma or 0.0) if self.weighted else 0.0
 
-
-def _sides_hardy(spec, case, m):
-    return _norm(m, NormKind.weighted_lp(case.p, -1.0)), spec.dnorm(case, m, case.p)
-
-
-def _sides_weighted_hardy(spec, case, m):
-    return (_norm(m, NormKind.weighted_lp(case.p, -(case.gamma + 1.0))),
-            spec.dnorm(case, m, case.p, -case.gamma))
+    def __call__(self, spec, case, m):
+        return (nodal_norm(m.low if self.low else m.v, m.grid, self.left(case)),
+                spec.dnorm(case, m, case.p, self.power(case)))
 
 
 def _sides_gn(spec, case, m):
@@ -349,7 +360,7 @@ class _Spec:
     fields: tuple[str, ...]  # required beyond family/a/b/alpha
     check: Callable[[InequalityCase], InequalityCase]  # fills in derived exponents
     constant: Callable[[InequalityCase, float, float], float]  # (case, order, span)
-    sides: Callable[..., tuple]  # (record, case, _Maps) -> (lhs, rhs product)
+    sides: Callable[..., tuple]  # (record, case, _Maps) -> (lhs, rhs product), or a _Quotient
     weighted: bool = False  # a side carries a power weight of x, so a > 0
     derivable: tuple[str, ...] = ()  # optional, derived by the check when absent
     vanishing: bool = True  # the boundary hypothesis v(a) = 0 applies
@@ -380,31 +391,38 @@ class _Spec:
         dv = apply_operator(grid, v, getattr(case, self.order), kind)[1]
         return _Maps(grid, v, dv, low)
 
-    def dnorm(self, case: InequalityCase, m: _Maps, p: float, power: float = 0.0):
-        # L^p norm of the derivative against the weight x^(power*p), with x
-        # the physical variable: the node on the t-grid, a e^sigma on the
-        # companion grid (where the plain norm is the dx/x norm)
-        grid = log_companion_grid(m.grid) if self.hadamard else m.grid
+    def dweights(self, grid: Grid, p: float, power: float):
+        # the grid of the derivative and its weight x^(power*p), None for
+        # power 0, with x the physical variable: the node on the t-grid,
+        # a e^sigma on the companion grid (where the plain norm is the dx/x norm)
+        dgrid = log_companion_grid(grid) if self.hadamard else grid
         if power == 0.0:
+            return dgrid, None
+        x = log_companion_times(grid) if self.hadamard else dgrid.nodes
+        return dgrid, x ** (power * p)
+
+    def dnorm(self, case: InequalityCase, m: _Maps, p: float, power: float = 0.0):
+        # L^p norm of the derivative against the weight of ``dweights``
+        grid, weights = self.dweights(m.grid, p, power)
+        if weights is None:
             return nodal_norm(m.dv, grid, NormKind.lp(p))
-        x = log_companion_times(m.grid) if self.hadamard else grid.nodes
-        return lp_trapezoid(m.dv, grid.h, p, weights=x ** (power * p))
+        return lp_trapezoid(m.dv, grid.h, p, weights=weights)
 
 
-_PS = _Spec(("p",), _check_sup_family, _constant_sup, _sides_sup)
-_HARDY = _Spec(("p",), _check_sup_family, _constant_hardy, _sides_hardy, weighted=True)
+_PS = _Spec(("p",), _check_sup_family, _constant_sup, _Quotient())
+_HARDY = _Spec(("p",), _check_sup_family, _constant_hardy, _Quotient(exponent="p", weighted=True),
+               weighted=True)
 _GN = _Spec(("p", "q", "s"), _check_gn, _constant_gn, _sides_gn, derivable=("gamma",))
 
 _STANDARD = {
     Family.POINCARE_SOBOLEV: _PS,
     Family.POINCARE_SOBOLEV_LQ: _Spec(("p", "theta"), _check_sup_family, _constant_lq,
-                                      _sides_lq),
+                                      _Quotient(exponent="theta")),
     Family.SOBOLEV_BETA: _Spec(("beta", "p"), _check_sobolev_beta, _constant_beta,
-                               _sides_beta, vanishing=False, low="beta"),
+                               _Quotient(low=True), vanishing=False, low="beta"),
     Family.HARDY: _HARDY,
-    Family.WEIGHTED_HARDY: _Spec(("p", "gamma"), _check_sup_family,
-                                 _constant_weighted_hardy, _sides_weighted_hardy,
-                                 weighted=True),
+    Family.WEIGHTED_HARDY: replace(_HARDY, fields=("p", "gamma"),
+                                   constant=_constant_weighted_hardy),
     Family.GAGLIARDO_NIRENBERG: _GN,
     Family.CKN: _Spec(("p", "q", "delta", "d", "e"), _check_ckn, _constant_ckn, _sides_ckn,
                       weighted=True, derivable=("r", "c")),
@@ -664,6 +682,32 @@ class BasisSides:
             self.constant)
         bad = next((i for i, error in enumerate(errors) if error is not None), len(errors))
         return ratio[:bad], (errors + [None])[bad]
+
+    def quotient(self) -> tuple | None:
+        """The squared sides of a quotient family at p = 2, or None for any other case.
+
+        Returns (left, left_w, right, right_w): the basis rows of the map on
+        each side and the weight of each node in its squared norm, the
+        trapezoid weight times the power weight; ``left_w`` is None for a sup
+        norm.  Coefficients c then give rhs norm product^2 = sum right_w
+        (c @ right)^2, and lhs = max |c @ left| or lhs^2 = sum left_w (c @ left)^2.
+        """
+        spec, case, m = self._spec, self.case, self._maps
+        shape = spec.sides
+        if not isinstance(shape, _Quotient) or case.p != 2.0:
+            return None
+        kind = shape.left(case)
+        if kind.p not in (None, 2.0):
+            return None
+
+        def squares(grid, weights):
+            q = np.full(grid.n + 1, grid.h)
+            q[[0, -1]] *= 0.5
+            return q if weights is None else q * weights
+
+        left_w = None if kind.p is None else squares(m.grid, norm_weights(m.grid, kind))
+        right_w = squares(*spec.dweights(m.grid, 2.0, shape.power(case)))
+        return m.low if shape.low else m.v, left_w, m.dv, right_w
 
 
 #: the most samples a sweep block holds per array, those of the largest grid

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracineq import (
     IMPROVEMENT_MARGIN,
@@ -19,7 +20,10 @@ from fracineq import (
     InequalityCase,
     NumericError,
     ParamError,
+    SharpnessResult,
     SizeError,
+    caputo_derivative,
+    constant,
     corpus,
     evaluate_sides,
     generate,
@@ -187,15 +191,141 @@ SEARCH_CASES = [
 ]
 
 
+def basis_sides(case, degree=4, grid_n=256):
+    grid = uniform_grid(case.a, case.b, grid_n)
+    return BasisSides(case, [corpus._candidate(grid, e) for e in np.eye(degree + 1)])
+
+
+def compass_search(case, budget, seed, degree=4, grid_n=256):
+    # the block compass rounds from the initial iterate, as sharpness_search runs them
+    sides = basis_sides(case, degree, grid_n)
+    start = np.eye(degree + 1)[0]
+    (ratio,), _ = sides.ratios(start[None, :])
+    coeffs = corpus._compass(sides, start, float(ratio), budget, seed)
+    grid = uniform_grid(case.a, case.b, grid_n)
+    return SharpnessResult(evaluate_sides(case, corpus._candidate(grid, coeffs)), coeffs)
+
+
+#: the p = 2 quotient families, whose search takes the exact optimum
+EXACT_CASES = [case for case in SEARCH_CASES if basis_sides(case, 1, 4).quotient() is not None]
+
+
 @pytest.mark.parametrize("grid_n", [64, 129])
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c.family.value)
 def test_block_search_matches_per_function_search(case, grid_n):
     # n = 129 is odd, so the final certificate takes the interpolated coarse pass
     for seed in (0, 1, 2):
         coeffs, cert = reference_search(validate_case(case), 200, seed, grid_n=grid_n)
-        result = sharpness_search(case, budget=200, seed=seed, grid_n=grid_n)
+        if case in EXACT_CASES:
+            # the search takes the exact optimum; its compass rounds serve the other cases
+            result = compass_search(case, 200, seed, grid_n=grid_n)
+        else:
+            result = sharpness_search(case, budget=200, seed=seed, grid_n=grid_n)
         assert np.array_equal(result.coefficients, coeffs), seed
         assert result.certificate == cert, seed
+
+
+# --- the exact optimum of the p = 2 quotient families ---------------------------
+
+#: covered cases beyond the benchmark's first cases: theta = 2 and sobolev-beta at p = 2
+MORE_EXACT_CASES = [
+    _case(Family.POINCARE_SOBOLEV_LQ, alpha=0.75, p=2.0, theta=2.0),
+    _case(Family.SOBOLEV_BETA, alpha=0.9, beta=0.0, p=2.0),
+    _case(Family.SOBOLEV_BETA, alpha=0.9, beta=0.3, p=2.0),
+]
+
+
+def gram(case, basis, side):
+    # the Gram matrix of a squared side by polarisation of single certificates
+    def squared(u):
+        return getattr(evaluate_sides(case, u, disc_tol=0.0), side) ** 2
+
+    k = len(basis)
+    out = np.empty((k, k))
+    for i in range(k):
+        out[i, i] = squared(basis[i])
+        for j in range(i):
+            out[i, j] = out[j, i] = (squared(basis[i] + basis[j])
+                                     - squared(basis[i] - basis[j])) / 4.0
+    return out
+
+
+def left_map(case, u):
+    # the samples under the sup norm: u, or its order-beta derivative
+    beta = case.beta or 0.0
+    return caputo_derivative(u, beta).samples if beta > 0.0 else u.samples
+
+
+def reference_optimum(case, grid_n, degree=4):
+    # the best grid ratio over the basis: the top generalised eigenvalue of the
+    # Gram matrices of the L^2 sides, or the dual norm of each node's values
+    grid = uniform_grid(case.a, case.b, grid_n)
+    basis = [corpus._candidate(grid, e) for e in np.eye(degree + 1)]
+    rhs = gram(case, basis, "rhs_norm_product")
+    if case.family.value.endswith(("hardy", "-lq")):
+        best = scipy.linalg.eigh(gram(case, basis, "lhs"), rhs, eigvals_only=True)[-1]
+    else:
+        values = np.array([left_map(case, u) for u in basis])
+        best = np.max(np.einsum("ij,ij->j", values, np.linalg.solve(rhs, values)))
+    return math.sqrt(best) / constant(case)
+
+
+@pytest.mark.parametrize("grid_n", [64, 129])
+@pytest.mark.parametrize("case", EXACT_CASES + MORE_EXACT_CASES,
+                         ids=lambda c: c.family.value)
+def test_exact_optimum_matches_the_gram_reference(case, grid_n):
+    result = sharpness_search(case, budget=1, grid_n=grid_n)
+    assert result.certificate.ratio == pytest.approx(reference_optimum(case, grid_n),
+                                                     rel=1e-10, abs=0.0)
+    assert np.max(np.abs(result.coefficients)) == 1.0
+    initial = sharpness_search(case, budget=0, grid_n=grid_n).certificate.ratio
+    assert result.certificate.ratio > initial
+
+
+@pytest.mark.parametrize("case", EXACT_CASES, ids=lambda c: c.family.value)
+def test_exact_optimum_is_at_least_the_compass_ratio(case):
+    for seed in (0, 1):
+        compass = compass_search(case, 1000, seed).certificate.ratio
+        assert sharpness_search(case, budget=1000, seed=seed).certificate.ratio >= compass
+    # the seed chooses no proposal of the exact families
+    assert (sharpness_search(case, budget=5, seed=0).certificate
+            == sharpness_search(case, budget=7, seed=9).certificate)
+
+
+#: the unweighted families at a = 0: the sup families and poincare-sobolev-lq
+SUP_CASES_AT_ZERO = [
+    InequalityCase(Family.POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=0.75, p=2.0),
+    InequalityCase(Family.SEQ_POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=0.8, beta=0.3, p=2.0),
+    InequalityCase(Family.SOBOLEV_BETA, a=0.0, b=1.0, alpha=0.9, beta=0.3, p=2.0),
+    InequalityCase(Family.POINCARE_SOBOLEV_LQ, a=0.0, b=1.0, alpha=0.75, p=2.0, theta=2.0),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("degree,grid_n,cases", [
+    (0, 16, EXACT_CASES + MORE_EXACT_CASES),
+    # n + 1 nodes and n + 1 basis functions that vanish at a: rank n at most
+    (16, 16, EXACT_CASES + MORE_EXACT_CASES),
+    (4, 64, SUP_CASES_AT_ZERO),
+    (16, 16, SUP_CASES_AT_ZERO),
+], ids=["degree-0", "degree-n", "sup-at-zero", "sup-at-zero-degree-n"])
+def test_exact_optimum_never_loses_to_the_initial_iterate(degree, grid_n, cases):
+    for case in cases:
+        initial = sharpness_search(case, budget=0, degree=degree, grid_n=grid_n)
+        result = sharpness_search(case, budget=3, degree=degree, grid_n=grid_n)
+        assert result.certificate.ratio >= initial.certificate.ratio, case.family
+        assert np.isfinite(result.coefficients).all()
+        assert np.max(np.abs(result.coefficients)) == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_optimum_of_degenerate_forms_is_none():
+    # a zero right map has no best ratio, and values out of float range give none
+    left, weights = np.ones((3, 10)), np.ones(10)
+    assert corpus._exact(left, None, np.zeros((3, 10)), weights) is None
+    assert corpus._exact(left, weights, np.full((3, 10), np.inf), weights) is None
+    assert corpus._exact(left * 1e300, weights * 1e300, np.eye(3, 10), weights) is None
+    assert corpus._exact(left * 1e300, None, np.eye(3, 10) * 1e-300, weights) is None
 
 
 def test_block_ratios_are_the_fine_grid_ratios():

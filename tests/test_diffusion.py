@@ -209,7 +209,7 @@ def _energies(problem, solve):
 @pytest.mark.parametrize("n", [129, 1024, 2048])
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
 def test_run_below_order_one_matches_cho_solve(alpha, n):
-    # the two triangular solves per step against LAPACK's potrs on the same K
+    # one product per step with the inverse of M + dt K against LAPACK's potrs on the same K
     problem = make_problem(alpha=alpha, n=n, T=0.04, dt=2e-3,
                            profile=lambda t: t + np.sin(7.0 * np.pi * t))
     energy = run(problem).energy

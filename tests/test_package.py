@@ -37,11 +37,24 @@ def test_each_error_class_states_its_exit_code():
     }
 
 
+def scipy_modules_after(code: str) -> str:
+    # the scipy modules loaded once ``code`` has run in a fresh interpreter
+    code += "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(fracineq.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
 def test_import_loads_no_scipy():
     # scipy is loaded by the first diffusion solve or reference quadrature, not on import
-    code = ("import sys, fracineq, fracineq.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    src = str(Path(fracineq.__file__).parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out == "[]\n"
+    assert scipy_modules_after("import sys, fracineq, fracineq.cli") == "[]\n"
+
+
+def test_sharpness_search_loads_no_scipy():
+    # the exact optimum of a p = 2 quotient family and the compass rounds of another
+    code = ("import sys; from fracineq import Family, InequalityCase, sharpness_search; "
+            "sharpness_search(InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0), "
+            "budget=10, grid_n=64); "
+            "sharpness_search(InequalityCase(Family.GAGLIARDO_NIRENBERG, a=1.0, b=2.0, "
+            "alpha=0.75, p=2.0, q=2.0, s=0.5), budget=10, grid_n=64)")
+    assert scipy_modules_after(code) == "[]\n"
