@@ -3,13 +3,16 @@
 
 The search looks for polynomial coefficients maximizing the certificate
 ratio lhs/rhs.  All cases below are p = 2 quotient families, for which any
-positive budget takes the exact optimum over the polynomial basis (other
-families run a derivative-free compass search).  For the sup-norm bound at
-order 1 with p = 2 the linear function attains equality in the continuum:
-budget 0 reports it with ratio 1, and a positive budget prints the discrete
-optimum, 1.0000001 at n = 256, inside the certificate's tolerance.  For
-genuinely fractional orders the best ratio over the basis is a lower bound
-on the constant's tightness.
+positive budget solves the quotient over the polynomial basis directly.
+Gagliardo-Nirenberg at p = q = 2 is solved the same way, and an L^theta
+left side with theta != 2 by Boyd's iteration, a local optimum.  Other
+families run a derivative-free compass search, which stops at convergence:
+the budget is only a cap, and the seed has no effect.  For the sup-norm
+bound at order 1 with p = 2 the linear function attains equality in the
+continuum: budget 0 reports it with ratio 1, and a positive budget prints
+the discrete optimum, 1.0000001 at n = 256, inside the certificate's
+tolerance.  For genuinely fractional orders the best ratio over the basis
+is a lower bound on the constant's tightness.
 """
 
 import numpy as np

@@ -93,12 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_interval(sh, with_n=False)
     sh.add_argument("--n", type=int, default=256)
     sh.add_argument("--budget", type=int, default=500,
-                    help="0 reports u = t - a; for the p = 2 quotient families (poincare-sobolev, "
-                         "-lq with theta = 2, sobolev-beta, hardy, weighted-hardy and their "
-                         "sequential and hadamard twins) any budget >= 1 takes the exact "
-                         "optimum over the basis; otherwise the compass trials after the first")
+                    help="0 reports u = t - a; at p = 2 the quotient families (poincare-sobolev, "
+                         "-lq, sobolev-beta, hardy, weighted-hardy, their sequential and "
+                         "hadamard twins, and gagliardo-nirenberg with q = gamma = 2) solve the "
+                         "quotient over the basis at any budget >= 1; otherwise the most "
+                         "compass trials after the first, which stops at convergence")
     sh.add_argument("--seed", type=int, default=0,
-                    help="random restarts of the compass search; unused by the exact optimum")
+                    help="must be >= 0; has no effect, as no proposal is random")
     sh.add_argument("--degree", type=int, default=4)
     add_output(sh)
 

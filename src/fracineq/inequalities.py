@@ -684,30 +684,35 @@ class BasisSides:
         return ratio[:bad], (errors + [None])[bad]
 
     def quotient(self) -> tuple | None:
-        """The squared sides of a quotient family at p = 2, or None for any other case.
+        """The sides at p = 2 of a quotient family, or None for any other case.
 
-        Returns (left, left_w, right, right_w): the basis rows of the map on
-        each side and the weight of each node in its squared norm, the
-        trapezoid weight times the power weight; ``left_w`` is None for a sup
-        norm.  Coefficients c then give rhs norm product^2 = sum right_w
-        (c @ right)^2, and lhs = max |c @ left| or lhs^2 = sum left_w (c @ left)^2.
+        Gagliardo-Nirenberg at p = q = gamma = 2 with s > 0 counts as one: its
+        ratio is the L^2 quotient |v| / |dv| to the power s, over a constant.
+        Returns (left, left_w, theta, right, right_w): the basis rows of the map
+        on each side, the left exponent theta (None for a sup norm) and the
+        weight of each node in each side's norm to its power, the trapezoid
+        weight times the power weight.  Coefficients c then give rhs^2 = sum
+        right_w (c @ right)^2, and lhs = max |c @ left| or lhs^theta = sum
+        left_w |c @ left|^theta.
         """
         spec, case, m = self._spec, self.case, self._maps
         shape = spec.sides
-        if not isinstance(shape, _Quotient) or case.p != 2.0:
+        if case.p != 2.0:
             return None
-        kind = shape.left(case)
-        if kind.p not in (None, 2.0):
+        if isinstance(shape, _Quotient):
+            kind, left, power = shape.left(case), m.low if shape.low else m.v, shape.power(case)
+        elif shape is _sides_gn and case.q == case.gamma == 2.0 and case.s > 0.0:
+            kind, left, power = NormKind.lp(2.0), m.v, 0.0
+        else:
             return None
 
-        def squares(grid, weights):
+        def node_weights(grid, weights):
             q = np.full(grid.n + 1, grid.h)
             q[[0, -1]] *= 0.5
             return q if weights is None else q * weights
 
-        left_w = None if kind.p is None else squares(m.grid, norm_weights(m.grid, kind))
-        right_w = squares(*spec.dweights(m.grid, 2.0, shape.power(case)))
-        return m.low if shape.low else m.v, left_w, m.dv, right_w
+        left_w = None if kind.p is None else node_weights(m.grid, norm_weights(m.grid, kind))
+        return left, left_w, kind.p, m.dv, node_weights(*spec.dweights(m.grid, 2.0, power))
 
 
 #: the most samples a sweep block holds per array, those of the largest grid
