@@ -4,8 +4,9 @@
 The search looks for polynomial coefficients maximizing the certificate
 ratio lhs/rhs.  All cases below are p = 2 quotient families, for which any
 positive budget solves the quotient over the polynomial basis directly.
-Gagliardo-Nirenberg at p = q = 2 is solved the same way, and an L^theta
-left side with theta != 2 by Boyd's iteration, a local optimum.  Other
+Gagliardo-Nirenberg at p = q = 2 is solved the same way, an L^theta left
+side with theta != 2 by Boyd's iteration, a local optimum, and the CKN and
+uncertainty products at p = q = 2 by a sequence of quotients.  Other
 families run a derivative-free compass search, which stops at convergence:
 the budget is only a cap, and the seed has no effect.  For the sup-norm
 bound at order 1 with p = 2 the linear function attains equality in the

@@ -95,8 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--budget", type=int, default=500,
                     help="0 reports u = t - a; at p = 2 the quotient families (poincare-sobolev, "
                          "-lq, sobolev-beta, hardy, weighted-hardy, their sequential and "
-                         "hadamard twins, and gagliardo-nirenberg with q = gamma = 2) solve the "
-                         "quotient over the basis at any budget >= 1; otherwise the most "
+                         "hadamard twins, gagliardo-nirenberg with q = gamma = 2, ckn with "
+                         "q = 2 and uncertainty) solve the quotient, or a sequence of "
+                         "quotients for a product, over the basis at any budget >= 1; "
+                         "otherwise the most "
                          "compass trials after the first, which stops at convergence")
     sh.add_argument("--seed", type=int, default=0,
                     help="must be >= 0; has no effect, as no proposal is random")

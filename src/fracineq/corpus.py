@@ -151,7 +151,8 @@ def _first_gain(sides: BasisSides, trials: np.ndarray,
     return None
 
 
-#: the most steps of Boyd's iteration; 9 reach the optimum of the benchmark's theta = 1.5 case
+#: the most steps of Boyd's iteration and of the minorize-maximize loop; 9 reach the
+#: optimum of the benchmark's theta = 1.5 case, and at most 8 those of its products
 _BOYD_STEPS = 500
 
 
@@ -207,6 +208,41 @@ def _exact(left: np.ndarray, left_w: np.ndarray | None, theta: float | None,
     return c / c[np.argmax(np.abs(c))]
 
 
+def _product(left: np.ndarray, left_w: np.ndarray, rights: tuple,
+             start: np.ndarray) -> np.ndarray | None:
+    """The best coefficients over the basis of a product in ``BasisSides.quotient()``.
+
+    With A = sum left_w (c @ left)^2 and B and C the squares of the two
+    right norms, with powers delta and 1 - delta, the ratio is a fixed power
+    of A / (B^delta C^(1 - delta)).  By weighted AM-GM, B^delta C^(1 - delta)
+    is the least over s > 0 of delta s B + (1 - delta) s^(-delta/(1 - delta)) C,
+    attained at s = (C/B)^(1 - delta).  So each step sets s from the current
+    coefficients and takes the exact optimum of the L^2 quotient with that
+    sum on the right (:func:`_exact`): a minorize-maximize step (Hunter &
+    Lange, Am. Stat. 58, 2004), which cannot lower A / (B^delta C^(1 - delta)).
+    From ``start`` the loop stops when a step raises it by less than a
+    relative 1e-15, when _exact has no optimum, or after _BOYD_STEPS steps.
+    Returns the best coefficients so far, or None if not even ``start`` has
+    a value.
+    """
+    (dv, w_b, delta), (v, w_c, _) = rights
+    right = np.hstack([dv, v])
+    best, top, c = None, -math.inf, start
+    for _ in range(_BOYD_STEPS):
+        with np.errstate(all="ignore"):  # a zero or overflowing form ends the loop
+            a, b, cc = (w @ (c @ m) ** 2 for m, w in ((left, left_w), (dv, w_b), (v, w_c)))
+            value = a / (b**delta * cc ** (1.0 - delta))
+            if not value > top * (1.0 + 1e-15):
+                break
+            best, top = c, value
+            s = (cc / b) ** (1.0 - delta)
+            c = _exact(left, left_w, 2.0, right, np.concatenate(
+                [delta * s * w_b, (1.0 - delta) * s ** (-delta / (1.0 - delta)) * w_c]))
+        if c is None:
+            break
+    return best
+
+
 def _compass(sides: BasisSides, best_coeffs: np.ndarray, best_ratio: float,
              budget: int) -> np.ndarray:
     # the compass rounds of sharpness_search from the given best; returns the best coefficients
@@ -253,10 +289,14 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     with s > 0, a positive budget solves the quotient over the degree + 1
     basis directly (:func:`_exact`): a singular-value problem of that size,
     exact for an L^2 or sup norm on the left, and Boyd's iteration, a local
-    optimum, for an L^theta norm with theta != 2.  It replaces the initial
-    iterate when its ratio exceeds the initial ratio by the relative margin
-    IMPROVEMENT_MARGIN; a zero right map or a basis value out of float range
-    has no optimum and keeps it.
+    optimum, for an L^theta norm with theta != 2.  The products of norm
+    powers at p = 2, CKN at p = q = 2 and uncertainty, are solved as a
+    sequence of such quotients from the initial iterate, a minorize-maximize
+    loop (:func:`_product`) that no step lowers; at delta = 0 or 1 a CKN case
+    is one quotient.  The result replaces the initial iterate when its ratio
+    exceeds the initial ratio by the relative margin IMPROVEMENT_MARGIN; a
+    zero right map or a basis value out of float range has no optimum and
+    keeps it.
 
     Every other case runs a derivative-free compass search with shrinking
     steps.  A round tries +step and -step on each coefficient in turn from
@@ -293,7 +333,9 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     if forms is None:
         best_coeffs = _compass(sides, best_coeffs, best_ratio, budget)
     else:
-        exact = _exact(*forms)
+        left, left_w, theta, rights = forms
+        exact = (_exact(left, left_w, theta, *rights[0][:2]) if len(rights) == 1
+                 else _product(left, left_w, rights, best_coeffs))
         if exact is not None and _first_gain(sides, exact[None, :], best_ratio) is not None:
             best_coeffs = exact
     return SharpnessResult(evaluate_sides(case, _candidate(grid, best_coeffs)), best_coeffs)

@@ -686,24 +686,24 @@ class BasisSides:
     def quotient(self) -> tuple | None:
         """The sides at p = 2 of a quotient family, or None for any other case.
 
-        Gagliardo-Nirenberg at p = q = gamma = 2 with s > 0 counts as one: its
-        ratio is the L^2 quotient |v| / |dv| to the power s, over a constant.
-        Returns (left, left_w, theta, right, right_w): the basis rows of the map
-        on each side, the left exponent theta (None for a sup norm) and the
-        weight of each node in each side's norm to its power, the trapezoid
-        weight times the power weight.  Coefficients c then give rhs^2 = sum
-        right_w (c @ right)^2, and lhs = max |c @ left| or lhs^theta = sum
-        left_w |c @ left|^theta.
+        The ratio is then an increasing function of lhs / prod rhs_k^delta_k,
+        with weighted L^2 norms rhs_k and powers delta_k that sum to 1.  A
+        quotient family has one right norm.  Gagliardo-Nirenberg at p = q =
+        gamma = 2 with s > 0 counts as one: its ratio is |v| / |dv| to the power
+        s, over a constant.  CKN at p = q = r = 2 has the right norms of dv and
+        v with powers delta and 1 - delta, and uncertainty at p = 2 has them
+        with powers 1/2 and 1/2 (its lhs is the square of |v|); a norm of power
+        0 is left out.  Returns (left, left_w, theta, rights): the basis rows of
+        the left map, the left exponent theta (None for a sup norm), the weight
+        of each node in the left norm to its power, and a (right, right_w,
+        delta_k) triple per right norm.  Each weight is the trapezoid weight
+        times the power weight, so coefficients c give rhs_k^2 = sum right_w
+        (c @ right)^2, and lhs = max |c @ left| or lhs^theta = sum left_w
+        |c @ left|^theta.
         """
         spec, case, m = self._spec, self.case, self._maps
         shape = spec.sides
         if case.p != 2.0:
-            return None
-        if isinstance(shape, _Quotient):
-            kind, left, power = shape.left(case), m.low if shape.low else m.v, shape.power(case)
-        elif shape is _sides_gn and case.q == case.gamma == 2.0 and case.s > 0.0:
-            kind, left, power = NormKind.lp(2.0), m.v, 0.0
-        else:
             return None
 
         def node_weights(grid, weights):
@@ -711,8 +711,27 @@ class BasisSides:
             q[[0, -1]] *= 0.5
             return q if weights is None else q * weights
 
+        def of_dv(power, delta):
+            return m.dv, node_weights(*spec.dweights(m.grid, 2.0, power)), delta
+
+        def of_v(gamma, delta):
+            kind = NormKind.weighted_lp(2.0, gamma)
+            return m.v, node_weights(m.grid, norm_weights(m.grid, kind)), delta
+
+        if isinstance(shape, _Quotient):
+            kind, left = shape.left(case), m.low if shape.low else m.v
+            rights = [of_dv(shape.power(case), 1.0)]
+        elif shape is _sides_gn and case.q == case.gamma == 2.0 and case.s > 0.0:
+            kind, left, rights = NormKind.lp(2.0), m.v, [of_dv(0.0, 1.0)]
+        elif shape is _sides_ckn and case.q == case.r == 2.0:
+            kind, left = NormKind.weighted_lp(2.0, case.c), m.v
+            rights = [of_dv(case.d, case.delta), of_v(case.e, 1.0 - case.delta)]
+        elif shape is _sides_uncertainty:
+            kind, left, rights = NormKind.lp(2.0), m.v, [of_dv(0.0, 0.5), of_v(1.0, 0.5)]
+        else:
+            return None
         left_w = None if kind.p is None else node_weights(m.grid, norm_weights(m.grid, kind))
-        return left, left_w, kind.p, m.dv, node_weights(*spec.dweights(m.grid, 2.0, power))
+        return left, left_w, kind.p, tuple(side for side in rights if side[2] > 0.0)
 
 
 #: the most samples a sweep block holds per array, those of the largest grid

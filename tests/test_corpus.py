@@ -29,6 +29,7 @@ from fracineq import (
     corpus,
     evaluate_sides,
     generate,
+    hadamard_derivative,
     sharpness_search,
     uniform_grid,
     validate_case,
@@ -229,9 +230,13 @@ def count_trials(monkeypatch) -> list:
     return calls
 
 
+#: a compass case: ckn off p = q = 2, which converges at n = 64 within 1000 trials
+COMPASS_CASE = _case(Family.CKN, alpha=0.9, p=2.0, q=3.0, delta=0.5, d=0.8, e=0.3)
+
+
 def test_compass_search_stops_at_convergence(monkeypatch):
-    # ckn converges before its budget: the search stops, not the budget
-    case = _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=0.5, d=0.8, e=0.3)
+    # the search stops, not the budget
+    case = COMPASS_CASE
     coeffs, cert, evals = reference_search(validate_case(case), 1000, grid_n=64)
     assert evals < 1000
     trials = count_trials(monkeypatch)
@@ -242,7 +247,7 @@ def test_compass_search_stops_at_convergence(monkeypatch):
 
 
 def test_budget_is_a_cap(monkeypatch):
-    case = _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=0.5, d=0.8, e=0.3)
+    case = COMPASS_CASE
     trials = count_trials(monkeypatch)
     small = sharpness_search(case, budget=10**4)
     assert sum(trials) < 10**4
@@ -261,12 +266,20 @@ def test_seed_changes_no_result(case):
 
 # --- the exact optimum of the p = 2 quotient families ---------------------------
 
-#: covered cases beyond the benchmark's first cases: theta = 2 and sobolev-beta at p = 2
+#: covered cases beyond the benchmark's first cases: theta = 2, sobolev-beta at p = 2,
+#: and ckn at delta = 0 and 1, where one factor of the product has power 0
 MORE_EXACT_CASES = [
     _case(Family.POINCARE_SOBOLEV_LQ, alpha=0.75, p=2.0, theta=2.0),
     _case(Family.SOBOLEV_BETA, alpha=0.9, beta=0.0, p=2.0),
     _case(Family.SOBOLEV_BETA, alpha=0.9, beta=0.3, p=2.0),
+    _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=0.0, d=0.8, e=0.3),
+    _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=1.0, d=0.8, e=0.3),
 ]
+
+
+def is_product(case):
+    # a family whose right side is a product of norm powers
+    return case.family.value.endswith(("ckn", "uncertainty"))
 
 
 def gram(case, basis, side):
@@ -310,7 +323,7 @@ def reference_optimum(case, grid_n, degree=4):
 
 @pytest.mark.parametrize("grid_n", [64, 129])
 @pytest.mark.parametrize("case", [case for case in EXACT_CASES + MORE_EXACT_CASES
-                                  if case.theta in (None, 2.0)],
+                                  if case.theta in (None, 2.0) and not is_product(case)],
                          ids=lambda c: c.family.value)
 def test_exact_optimum_matches_the_gram_reference(case, grid_n):
     result = sharpness_search(case, budget=1, grid_n=grid_n)
@@ -319,6 +332,75 @@ def test_exact_optimum_matches_the_gram_reference(case, grid_n):
     assert np.max(np.abs(result.coefficients)) == 1.0
     initial = sharpness_search(case, budget=0, grid_n=grid_n).certificate.ratio
     assert result.certificate.ratio > initial
+
+
+def weighted_gram(rows, grid, weights):
+    # the Gram matrix of the squared trapezoid L^2 norm against the node weights
+    q = np.full(grid.n + 1, grid.h)
+    q[[0, -1]] /= 2.0
+    return (rows * (q * weights)) @ rows.T
+
+
+def product_reference(case, grid_n, degree=4):
+    # the best grid ratio over the basis of a ckn or uncertainty case at p = 2, a
+    # fixed power of A / (B^delta C^(1 - delta)) for Gram forms A, B and C.  For
+    # every s > 0, B^delta C^(1 - delta) <= delta s B + (1 - delta) s^(-delta/(1 -
+    # delta)) C, with equality at one s (weighted AM-GM), so the best of A over
+    # B^delta C^(1 - delta) is the largest over s of the top generalised
+    # eigenvalue of A against that sum: found on a log scan of s, then refined
+    case = validate_case(case)
+    grid = uniform_grid(case.a, case.b, grid_n)
+    basis = [corpus._candidate(grid, e) for e in np.eye(degree + 1)]
+    hadamard = case.family.value.startswith("hadamard-")
+    derivatives = [(hadamard_derivative if hadamard else caputo_derivative)(u, case.alpha)
+                   for u in basis]
+    dgrid, t = derivatives[0].grid, grid.nodes
+    x = case.a * np.exp(dgrid.nodes) if hadamard else dgrid.nodes  # t at each derivative node
+    v = np.array([u.samples for u in basis])
+    dv = np.array([u.samples for u in derivatives])
+    if case.family.value.endswith("ckn"):
+        # |v|_{2, x^c} over |dv|_{2, x^d}^delta |v|_{2, x^e}^(1 - delta)
+        delta, power = case.delta, 0.5
+        a = weighted_gram(v, grid, t ** (2.0 * case.c))
+        b = weighted_gram(dv, dgrid, x ** (2.0 * case.d))
+        c = weighted_gram(v, grid, t ** (2.0 * case.e))
+    else:
+        # |v|_2^2 over |dv|_2 |v|_{2, x}
+        delta, power = 0.5, 1.0
+        a, b = weighted_gram(v, grid, 1.0), weighted_gram(dv, dgrid, 1.0)
+        c = weighted_gram(v, grid, t**2)
+
+    def top(log_s):
+        s = math.exp(log_s)
+        right = delta * s * b + (1.0 - delta) * s ** (-delta / (1.0 - delta)) * c
+        return scipy.linalg.eigh(a, right, eigvals_only=True)[-1]
+
+    if delta in (0.0, 1.0):
+        best = scipy.linalg.eigh(a, b if delta else c, eigvals_only=True)[-1]
+    else:
+        scan = np.linspace(-20.0, 20.0, 401)
+        values = [top(log_s) for log_s in scan]
+        k = int(np.argmax(values))
+        assert 0 < k < scan.size - 1
+        found = scipy.optimize.minimize_scalar(lambda log_s: -top(log_s), method="bounded",
+                                               bounds=(scan[k - 1], scan[k + 1]),
+                                               options={"xatol": 1e-12})
+        best = max(values[k], -found.fun)
+    return best**power / constant(case)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid_n", [64, 129])
+@pytest.mark.parametrize("case", [case for case in EXACT_CASES + MORE_EXACT_CASES
+                                  if is_product(case)],
+                         ids=lambda c: c.family.value + (f"-delta-{c.delta:g}"
+                                                         if c.delta in (0.0, 1.0) else ""))
+def test_product_optimum_matches_the_eigenvalue_scan(case, grid_n):
+    # at delta = 0 or 1 a ckn product is one quotient, and nothing divides by 1 - delta
+    result = sharpness_search(case, budget=1, grid_n=grid_n)
+    assert result.certificate.ratio == pytest.approx(product_reference(case, grid_n),
+                                                     rel=1e-9, abs=0.0)
+    assert np.max(np.abs(result.coefficients)) == 1.0
 
 
 def nelder_mead_optimum(case, grid_n, degree=4, starts=3):
