@@ -47,7 +47,7 @@ from fracineq import (
     validate_case,
 )
 from fracineq.cli import main as cli_main
-from fracineq.report import emit_payload_json, sweep_rows
+from fracineq.report import certificate_row, emit_payload_json, sweep_rows
 from conftest import order_fit
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -336,6 +336,31 @@ def test_lattice_sweep_payloads_match_pinned_hashes(n):
                                     f"fracineq verify --family {family.value}")
         hashes[family.value] = hashlib.sha256(payload.encode()).hexdigest()
     assert hashes == pin["sha256"][str(n)]
+
+
+def _sharpness_hashes(n: int, budget: int) -> dict[str, str]:
+    # the sha256 of the sharpness report of the first lattice case of every
+    # family, and of criterion 5: the certificate row and the coefficients
+    cases = {family.value: cases[0] for family, cases in _lattices(1.0, 2.0).items()}
+    cases["criterion-5"] = InequalityCase(Family.POINCARE_SOBOLEV, a=0.0, b=1.0,
+                                          alpha=1.0, p=2.0)
+    hashes = {}
+    for name, case in cases.items():
+        result = sharpness_search(case, budget=budget, grid_n=n)
+        payload = emit_payload_json([{"best": certificate_row(result.certificate),
+                                      "coefficients": list(result.coefficients)}],
+                                    f"fracineq sharpness --family {case.family.value}")
+        hashes[name] = hashlib.sha256(payload.encode()).hexdigest()
+    return hashes
+
+
+@pytest.mark.parametrize("n", [64, 129])
+def test_sharpness_payloads_match_pinned_hashes(n):
+    # every search path byte for byte: the direct solve, Boyd's iteration, the
+    # minorize-maximize loop and the compass; odd n = 129 scores interpolated
+    # coarse copies
+    pin = json.loads((FIXTURES / "sharpness_sha256.json").read_text())
+    assert _sharpness_hashes(n, pin["budget"]) == pin["sha256"][str(n)]
 
 
 # -- criterion 5: sharpness probe -----------------------------------------------

@@ -178,6 +178,24 @@ def test_cli_verify_runs_match_fixture():
         assert run_cli(argv) == (0, line)
 
 
+#: sharpness searches, one payload per line: uncertainty at p = 2, a product of
+#: two norm powers, and gagliardo-nirenberg at p = q = 2, whose L^2 norm of u
+#: appears on both sides
+SHARPNESS_ARGVS = [
+    ["sharpness", "--family", "uncertainty", "--alpha", "0.6", "--p", "2", "--a", "1", "--b", "2",
+     "--no-timestamp"],
+    ["sharpness", "--family", "gagliardo-nirenberg", "--alpha", "0.9", "--p", "2", "--q", "2",
+     "--s", "0.5", "--a", "1", "--b", "2", "--no-timestamp"],
+]
+
+
+def test_cli_sharpness_matches_fixture():
+    expected = (FIXTURES / "sharpness_cli.json").read_text().splitlines(keepends=True)
+    assert len(expected) == len(SHARPNESS_ARGVS)
+    for argv, line in zip(SHARPNESS_ARGVS, expected):
+        assert run_cli(argv) == (0, line)
+
+
 def test_cli_verify_matches_fixture():
     argv = ["verify", "--family", "hardy", "--alpha", "1", "--p", "2",
             "--a", "1", "--b", "2", "--n", "256", "--corpus", "poly:3,3,7",
