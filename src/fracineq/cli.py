@@ -93,13 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_interval(sh, with_n=False)
     sh.add_argument("--n", type=int, default=256)
     sh.add_argument("--budget", type=int, default=500,
-                    help="0 reports u = t - a; at p = 2 the quotient families (poincare-sobolev, "
-                         "-lq, sobolev-beta, hardy, weighted-hardy, their sequential and "
-                         "hadamard twins, gagliardo-nirenberg with q = gamma = 2, ckn with "
-                         "q = 2 and uncertainty) solve the quotient, or a sequence of "
-                         "quotients for a product, over the basis at any budget >= 1; "
-                         "otherwise the most "
-                         "compass trials after the first, which stops at convergence")
+                    help="0 reports u = t - a; where the right-hand norms, once a power 0 "
+                         "and a copy of the left norm are dropped, are all L^2, any budget "
+                         ">= 1 solves the quotient, or a sequence of quotients for two "
+                         "norms, over the basis; otherwise the most compass trials after "
+                         "the first, which stops at convergence")
     sh.add_argument("--seed", type=int, default=0,
                     help="must be >= 0; has no effect, as no proposal is random")
     sh.add_argument("--degree", type=int, default=4)

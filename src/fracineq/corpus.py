@@ -282,18 +282,15 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     the initial iterate is the result.  ``seed`` must be >= 0 and has no
     effect: no proposal is random.
 
-    At p = 2, for a family whose sides are the norm of one map over the L^2
-    norm of the derivative (poincare-sobolev, poincare-sobolev-lq,
-    sobolev-beta, hardy, weighted-hardy and their sequential and Hadamard
-    twins) and for Gagliardo-Nirenberg and its twins at p = q = gamma = 2
-    with s > 0, a positive budget solves the quotient over the degree + 1
-    basis directly (:func:`_exact`): a singular-value problem of that size,
-    exact for an L^2 or sup norm on the left, and Boyd's iteration, a local
-    optimum, for an L^theta norm with theta != 2.  The products of norm
-    powers at p = 2, CKN at p = q = 2 and uncertainty, are solved as a
-    sequence of such quotients from the initial iterate, a minorize-maximize
-    loop (:func:`_product`) that no step lowers; at delta = 0 or 1 a CKN case
-    is one quotient.  The result replaces the initial iterate when its ratio
+    Where :meth:`BasisSides.quotient` reduces the sides to weighted L^2
+    norms on the right (a factor of power 0 dropped, a copy of the left norm
+    cancelled), a positive budget solves the search over the degree + 1
+    basis directly.  One right norm is one quotient (:func:`_exact`): a
+    singular-value problem of that size, exact for an L^2 or sup norm on the
+    left, and Boyd's iteration, a local optimum, for an L^theta norm with
+    theta != 2.  Two right norms are solved as a sequence of such quotients
+    from the initial iterate, a minorize-maximize loop (:func:`_product`)
+    that no step lowers.  The result replaces the initial iterate when its ratio
     exceeds the initial ratio by the relative margin IMPROVEMENT_MARGIN; a
     zero right map or a basis value out of float range has no optimum and
     keeps it.

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, SolveError
-from .grids import Grid, GridFn, check_dense
+from .grids import Grid, GridFn, check_dense, trapezoid_weights
 from .operators import OperatorMatrix, operator_matrix
 from .special import gamma_fn
 
@@ -145,15 +145,9 @@ def decay_rate(grid: Grid, alpha: float) -> float:
         raise NumericError(f"decay rate overflows (b - a = {grid.b - grid.a})") from None
 
 
-def _quadrature_diagonal(grid: Grid) -> np.ndarray:
-    q = np.full(grid.n + 1, grid.h)
-    q[0] = q[-1] = 0.5 * grid.h
-    return q
-
-
 def mass_diagonal(grid: Grid) -> np.ndarray:
     """Trapezoid mass diagonal for the unknowns u_1..u_n (u_0 removed)."""
-    return _quadrature_diagonal(grid)[1:]
+    return trapezoid_weights(grid)[1:]
 
 
 def assemble_stiffness(grid: Grid, alpha: float) -> np.ndarray:
@@ -180,7 +174,7 @@ def assemble_stiffness(grid: Grid, alpha: float) -> np.ndarray:
 def _stiffness(grid: Grid, op: OperatorMatrix) -> np.ndarray:
     if op.band is None:
         d_restricted = op.weights[:, 1:]
-        q = _quadrature_diagonal(grid)
+        q = trapezoid_weights(grid)
         k = d_restricted.T @ (q[:, None] * d_restricted)
         return 0.5 * (k + k.T)
     n, h = grid.n, grid.h

@@ -29,6 +29,7 @@ __all__ = [
     "nodal_norm",
     "norm_weights",
     "trapezoid",
+    "trapezoid_weights",
     "lp_trapezoid",
 ]
 
@@ -176,6 +177,13 @@ def trapezoid(values: np.ndarray, h: float) -> float | np.ndarray:
     ends = values[0] + values[-1] if values.ndim == 1 else values[..., 0] + values[..., -1]
     total = h * (values.sum(axis=-1) - 0.5 * ends)
     return float(total) if values.ndim == 1 else total
+
+
+def trapezoid_weights(grid: Grid) -> np.ndarray:
+    """The weight of each node in the composite trapezoid rule: h, and h/2 at both ends."""
+    q = np.full(grid.n + 1, grid.h)
+    q[0] = q[-1] = 0.5 * grid.h
+    return q
 
 
 def lp_trapezoid(values: np.ndarray, h: float, p: float,

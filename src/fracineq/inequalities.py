@@ -12,14 +12,14 @@ the change of the ratio between the evaluation grid and one coarser grid.
 
 The 17 families are driven by a private registry with one record per
 family: the fields it uses, its hypothesis check, and its shape, the
-constant and the sides of one chain of inequalities.  Eight shapes cover
-every family: five quotients, the norm of one map over one norm of the
-derivative, each written as a ``_Quotient`` record, and three products of
-norm powers.  A Hadamard record is its standard twin with the Hadamard
-derivative, which lives on the companion grid sigma = log(t/a), and with
-span = log(b/a) in place of b - a in the constant.  A sequential record
-applies its shape to the inner derivative v = D^inner u, which must then
-vanish at a.
+constant and the sides of one chain of inequalities.  The sides are a table
+of ``_Norm`` records, the left norm and then the right-hand factors, each a
+norm of one map raised to a power; the certificates and the direct
+sharpness solve of :class:`BasisSides` both read it.  A Hadamard record is
+its standard twin with the Hadamard derivative, which lives on the
+companion grid sigma = log(t/a), and with span = log(b/a) in place of
+b - a in the constant.  A sequential record applies its shape to the inner
+derivative v = D^inner u, which must then vanish at a.
 
 One private stage checks and scores blocks of rows for :func:`sweep`,
 ``evaluate_sides`` and :class:`BasisSides`; no row depends on its block,
@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import (DomainError, FracineqError, HypothesisError, NumericError, ParamError,
                      SizeError)
-from .grids import (MAX_N, Grid, GridFn, NormKind, lp_trapezoid, nodal_norm, norm_weights,
-                    uniform_grid)
+from .grids import MAX_N, Grid, GridFn, lp_trapezoid, trapezoid_weights, uniform_grid
 from .operators import apply_operator, log_companion_grid, log_companion_times
 # targets that perfbench/tracer.py wraps here, although no certificate calls them
 from .grids import norm  # noqa: F401
@@ -297,70 +296,33 @@ class _Maps(NamedTuple):
                      None if self.low is None else coeffs @ self.low)
 
 
-def _norm(m: _Maps, kind: NormKind):
-    return nodal_norm(m.v, m.grid, kind)
-
-
 def _pow(x: np.ndarray, exponent: float) -> np.ndarray:
     # the scalar power of each row: np.power on an array rounds differently
     return np.array([value**exponent for value in x.tolist()])
 
 
-class _Quotient(NamedTuple):
-    """The ``sides`` of a quotient family: a norm of one map over the L^p norm of dv.
+class _Norm(NamedTuple):
+    """One norm of a side, raised to ``power``: the norm of a ``_Maps`` field.
 
-    The left norm is the sup norm, or the L^q norm with q the field
-    ``exponent``; ``weighted`` puts the weight x^(-(g + 1) q) on the left and
-    x^(-g p) on the right, with g the field gamma, 0 when absent.
+    ``map`` names the field (``v``, ``low`` or ``dv``), ``p`` is the
+    exponent, None for the sup norm, and the weight is x^(g p), with x the
+    physical variable at the nodes of the map.
     """
 
-    low: bool = False  # the left map is the order-beta derivative, not the operand
-    exponent: str | None = None
-    weighted: bool = False
-
-    def left(self, case: InequalityCase) -> NormKind:
-        if self.exponent is None:
-            return NormKind.sup()
-        q = getattr(case, self.exponent)
-        if not self.weighted:
-            return NormKind.lp(q)
-        return NormKind.weighted_lp(q, -((case.gamma or 0.0) + 1.0))
-
-    def power(self, case: InequalityCase) -> float:
-        # the weight power of the derivative on the right
-        return -(case.gamma or 0.0) if self.weighted else 0.0
-
-    def __call__(self, spec, case, m):
-        return (nodal_norm(m.low if self.low else m.v, m.grid, self.left(case)),
-                spec.dnorm(case, m, case.p, self.power(case)))
-
-
-def _sides_gn(spec, case, m):
-    return (_norm(m, NormKind.lp(case.gamma)),
-            _pow(spec.dnorm(case, m, case.q), case.s)
-            * _pow(_norm(m, NormKind.lp(case.p)), 1.0 - case.s))
-
-
-def _sides_ckn(spec, case, m):
-    return (_norm(m, NormKind.weighted_lp(case.r, case.c)),
-            _pow(spec.dnorm(case, m, case.p, case.d), case.delta)
-            * _pow(_norm(m, NormKind.weighted_lp(case.q, case.e)), 1.0 - case.delta))
-
-
-def _sides_uncertainty(spec, case, m):
-    return (_pow(_norm(m, NormKind.lp(2.0)), 2.0),
-            spec.dnorm(case, m, case.p)
-            * _norm(m, NormKind.weighted_lp(conjugate(case.p), 1.0)))
+    map: str
+    p: float | None = None
+    g: float = 0.0
+    power: float = 1.0
 
 
 @dataclass(frozen=True)
 class _Spec:
-    """Registry record of one family; ``constant`` and ``sides`` are its shape."""
+    """Registry record of one family; ``constant`` and ``terms`` are its shape."""
 
     fields: tuple[str, ...]  # required beyond family/a/b/alpha
     check: Callable[[InequalityCase], InequalityCase]  # fills in derived exponents
     constant: Callable[[InequalityCase, float, float], float]  # (case, order, span)
-    sides: Callable[..., tuple]  # (record, case, _Maps) -> (lhs, rhs product), or a _Quotient
+    terms: Callable[[InequalityCase], tuple[_Norm, ...]]  # the left norm, then the factors
     weighted: bool = False  # a side carries a power weight of x, so a > 0
     derivable: tuple[str, ...] = ()  # optional, derived by the check when absent
     vanishing: bool = True  # the boundary hypothesis v(a) = 0 applies
@@ -391,40 +353,51 @@ class _Spec:
         dv = apply_operator(grid, v, getattr(case, self.order), kind)[1]
         return _Maps(grid, v, dv, low)
 
-    def dweights(self, grid: Grid, p: float, power: float):
-        # the grid of the derivative and its weight x^(power*p), None for
-        # power 0, with x the physical variable: the node on the t-grid,
-        # a e^sigma on the companion grid (where the plain norm is the dx/x norm)
-        dgrid = log_companion_grid(grid) if self.hadamard else grid
-        if power == 0.0:
-            return dgrid, None
-        x = log_companion_times(grid) if self.hadamard else dgrid.nodes
-        return dgrid, x ** (power * p)
+    def weights(self, m: _Maps, term: _Norm) -> tuple[Grid, np.ndarray | None]:
+        # the grid of the term's map and its weight x^(g p), None for g = 0,
+        # with x the physical variable: the node on the t-grid, a e^sigma on
+        # the companion grid of a Hadamard derivative, where the plain norm is
+        # the dx/x norm
+        companion = self.hadamard and term.map == "dv"
+        grid = log_companion_grid(m.grid) if companion else m.grid
+        if term.g == 0.0:
+            return grid, None
+        x = log_companion_times(m.grid) if companion else grid.nodes
+        return grid, x ** (term.g * term.p)
 
-    def dnorm(self, case: InequalityCase, m: _Maps, p: float, power: float = 0.0):
-        # L^p norm of the derivative against the weight of ``dweights``
-        grid, weights = self.dweights(m.grid, p, power)
-        if weights is None:
-            return nodal_norm(m.dv, grid, NormKind.lp(p))
-        return lp_trapezoid(m.dv, grid.h, p, weights=weights)
+    def norm(self, m: _Maps, term: _Norm) -> np.ndarray:
+        # the term's norm of each row: the peak, or the trapezoid L^p norm
+        values = getattr(m, term.map)
+        if term.p is None:
+            return np.abs(values).max(axis=-1)
+        if term.p < 1.0:
+            raise DomainError(f"norm exponent must satisfy p >= 1 (got {term.p})")
+        grid, weights = self.weights(m, term)
+        return lp_trapezoid(values, grid.h, term.p, weights)
 
 
-_PS = _Spec(("p",), _check_sup_family, _constant_sup, _Quotient())
-_HARDY = _Spec(("p",), _check_sup_family, _constant_hardy, _Quotient(exponent="p", weighted=True),
-               weighted=True)
-_GN = _Spec(("p", "q", "s"), _check_gn, _constant_gn, _sides_gn, derivable=("gamma",))
+_PS = _Spec(("p",), _check_sup_family, _constant_sup, lambda c: (_Norm("v"), _Norm("dv", c.p)))
+_HARDY = _Spec(("p",), _check_sup_family, _constant_hardy,
+               lambda c: (_Norm("v", c.p, -((c.gamma or 0.0) + 1.0)),
+                          _Norm("dv", c.p, -(c.gamma or 0.0))), weighted=True)
+_GN = _Spec(("p", "q", "s"), _check_gn, _constant_gn,
+            lambda c: (_Norm("v", c.gamma), _Norm("dv", c.q, 0.0, c.s),
+                       _Norm("v", c.p, 0.0, 1.0 - c.s)), derivable=("gamma",))
 
 _STANDARD = {
     Family.POINCARE_SOBOLEV: _PS,
     Family.POINCARE_SOBOLEV_LQ: _Spec(("p", "theta"), _check_sup_family, _constant_lq,
-                                      _Quotient(exponent="theta")),
+                                      lambda c: (_Norm("v", c.theta), _Norm("dv", c.p))),
     Family.SOBOLEV_BETA: _Spec(("beta", "p"), _check_sobolev_beta, _constant_beta,
-                               _Quotient(low=True), vanishing=False, low="beta"),
+                               lambda c: (_Norm("low"), _Norm("dv", c.p)), vanishing=False,
+                               low="beta"),
     Family.HARDY: _HARDY,
     Family.WEIGHTED_HARDY: replace(_HARDY, fields=("p", "gamma"),
                                    constant=_constant_weighted_hardy),
     Family.GAGLIARDO_NIRENBERG: _GN,
-    Family.CKN: _Spec(("p", "q", "delta", "d", "e"), _check_ckn, _constant_ckn, _sides_ckn,
+    Family.CKN: _Spec(("p", "q", "delta", "d", "e"), _check_ckn, _constant_ckn,
+                      lambda c: (_Norm("v", c.r, c.c), _Norm("dv", c.p, c.d, c.delta),
+                                 _Norm("v", c.q, c.e, 1.0 - c.delta)),
                       weighted=True, derivable=("r", "c")),
     Family.SEQ_POINCARE_SOBOLEV: replace(_PS, fields=("beta", "p"), check=_check_sequential,
                                          inner="beta"),
@@ -433,7 +406,8 @@ _STANDARD = {
     Family.SEQ_GAGLIARDO_NIRENBERG: replace(_GN, fields=("beta", "p", "q", "s"),
                                             inner="alpha", order="beta"),
     # Cauchy-Schwarz with the Hardy bound, so the Hardy constant
-    Family.UNCERTAINTY: replace(_HARDY, sides=_sides_uncertainty),
+    Family.UNCERTAINTY: replace(_HARDY, terms=lambda c: (
+        _Norm("v", 2.0, 0.0, 2.0), _Norm("dv", c.p), _Norm("v", conjugate(c.p), 1.0))),
 }
 
 #: each Hadamard family is its standard twin with the Hadamard derivative
@@ -544,9 +518,21 @@ def _check_interval(case: InequalityCase, grid: Grid) -> None:
                          f"but the case interval is [{case.a}, {case.b}]")
 
 
+def _side(spec: _Spec, m: _Maps, terms) -> np.ndarray:
+    # the product of the norm powers of a side, in order; a power 0 is left out
+    out = None
+    for term in terms:
+        if term.power != 0.0:
+            x = spec.norm(m, term)
+            x = x if term.power == 1.0 else _pow(x, term.power)
+            out = x if out is None else out * x
+    return out
+
+
 def _sides(spec: _Spec, case: InequalityCase, m: _Maps, cval: float):
     # lhs, rhs norm product and ratio of each row (x/0 is inf, 0/0 is 0)
-    lhs, product = spec.sides(spec, case, m)
+    left, *factors = spec.terms(case)
+    lhs, product = _side(spec, m, [left]), _side(spec, m, factors)
     rhs = cval * product
     ratio = lhs / rhs
     if not (rhs > 0.0).all():
@@ -684,54 +670,41 @@ class BasisSides:
         return ratio[:bad], (errors + [None])[bad]
 
     def quotient(self) -> tuple | None:
-        """The sides at p = 2 of a quotient family, or None for any other case.
+        """The sides as a quotient of weighted L^2 forms, or None.
 
-        The ratio is then an increasing function of lhs / prod rhs_k^delta_k,
-        with weighted L^2 norms rhs_k and powers delta_k that sum to 1.  A
-        quotient family has one right norm.  Gagliardo-Nirenberg at p = q =
-        gamma = 2 with s > 0 counts as one: its ratio is |v| / |dv| to the power
-        s, over a constant.  CKN at p = q = r = 2 has the right norms of dv and
-        v with powers delta and 1 - delta, and uncertainty at p = 2 has them
-        with powers 1/2 and 1/2 (its lhs is the square of |v|); a norm of power
-        0 is left out.  Returns (left, left_w, theta, rights): the basis rows of
-        the left map, the left exponent theta (None for a sup norm), the weight
-        of each node in the left norm to its power, and a (right, right_w,
-        delta_k) triple per right norm.  Each weight is the trapezoid weight
-        times the power weight, so coefficients c give rhs_k^2 = sum right_w
-        (c @ right)^2, and lhs = max |c @ left| or lhs^theta = sum left_w
-        |c @ left|^theta.
+        The ratio is left^power over a constant times the product of the
+        factors to their powers (``_Spec.terms``).  A factor of power 0 is
+        left out, and a factor that is the left norm (the same map, exponent
+        and weight) cancels, which divides the other powers by the left power
+        less its own.  Then the ratio is an increasing function of left / prod
+        factor_k^delta_k, with powers delta_k that sum to 1, when at least one
+        factor remains, the divisor is positive and every remaining factor is
+        an L^2 norm, as is the left norm beside two factors or more; otherwise
+        the result is None.  Returns (left, left_w, theta, rights): the basis
+        rows of the left map, the weight of each node in the left norm to its
+        power, the left exponent theta (None for a sup norm), and a (right,
+        right_w, delta_k) triple per factor.  Each weight is the trapezoid
+        weight times the power weight, so coefficients c give factor_k^2 = sum
+        right_w (c @ right)^2, and left = max |c @ left| or left^theta = sum
+        left_w |c @ left|^theta.
         """
-        spec, case, m = self._spec, self.case, self._maps
-        shape = spec.sides
-        if case.p != 2.0:
+        spec, m = self._spec, self._maps
+        left, *factors = spec.terms(self.case)
+        factors = [term for term in factors if term.power != 0.0]
+        rest = [term for term in factors if term[:3] != left[:3]]
+        divisor = left.power - sum(term.power for term in factors if term[:3] == left[:3])
+        if (not rest or not divisor > 0.0 or any(term.p != 2.0 for term in rest)
+                or (len(rest) > 1 and left.p != 2.0)):
             return None
 
-        def node_weights(grid, weights):
-            q = np.full(grid.n + 1, grid.h)
-            q[[0, -1]] *= 0.5
-            return q if weights is None else q * weights
+        def form(term):
+            grid, weights = spec.weights(m, term)
+            q = trapezoid_weights(grid)
+            return getattr(m, term.map), q if weights is None else q * weights
 
-        def of_dv(power, delta):
-            return m.dv, node_weights(*spec.dweights(m.grid, 2.0, power)), delta
-
-        def of_v(gamma, delta):
-            kind = NormKind.weighted_lp(2.0, gamma)
-            return m.v, node_weights(m.grid, norm_weights(m.grid, kind)), delta
-
-        if isinstance(shape, _Quotient):
-            kind, left = shape.left(case), m.low if shape.low else m.v
-            rights = [of_dv(shape.power(case), 1.0)]
-        elif shape is _sides_gn and case.q == case.gamma == 2.0 and case.s > 0.0:
-            kind, left, rights = NormKind.lp(2.0), m.v, [of_dv(0.0, 1.0)]
-        elif shape is _sides_ckn and case.q == case.r == 2.0:
-            kind, left = NormKind.weighted_lp(2.0, case.c), m.v
-            rights = [of_dv(case.d, case.delta), of_v(case.e, 1.0 - case.delta)]
-        elif shape is _sides_uncertainty:
-            kind, left, rights = NormKind.lp(2.0), m.v, [of_dv(0.0, 0.5), of_v(1.0, 0.5)]
-        else:
-            return None
-        left_w = None if kind.p is None else node_weights(m.grid, norm_weights(m.grid, kind))
-        return left, left_w, kind.p, tuple(side for side in rights if side[2] > 0.0)
+        left_map, left_w = form(left)
+        return (left_map, None if left.p is None else left_w, left.p,
+                tuple(form(term) + (term.power / divisor,) for term in rest))
 
 
 #: the most samples a sweep block holds per array, those of the largest grid

@@ -18,6 +18,7 @@ import pytest
 import scipy.linalg
 
 from fracineq import (
+    BasisSides,
     CorpusSpec,
     DiffusionProblem,
     Family,
@@ -361,6 +362,35 @@ def test_sharpness_payloads_match_pinned_hashes(n):
     # coarse copies
     pin = json.loads((FIXTURES / "sharpness_sha256.json").read_text())
     assert _sharpness_hashes(n, pin["budget"]) == pin["sha256"][str(n)]
+
+
+def former_direct_rule(case: InequalityCase) -> bool:
+    # the per-family rule of the direct sharpness solve before it read the sides'
+    # norm table: every family at p = 2, gagliardo-nirenberg only at q = gamma = 2
+    # with s > 0, and ckn only at q = r = 2
+    family = case.family.value.removeprefix("hadamard-").removeprefix("seq-")
+    if case.p != 2.0:
+        return False
+    if family == "gagliardo-nirenberg":
+        return case.q == case.gamma == 2.0 and case.s > 0.0
+    return case.q == case.r == 2.0 if family == "ckn" else True
+
+
+def test_direct_solve_set_matches_the_former_rule():
+    # over the lattice the norm table gives the direct solve to the same cases,
+    # but for ckn at delta = 0: there c = e cancels, the ratio is constant, and
+    # the search keeps the initial iterate either way
+    grid = uniform_grid(1.0, 2.0, 16)
+    basis = [GridFn(grid, (grid.nodes - 1.0) ** (k + 1)) for k in range(2)]
+    for family, cases in _lattices(1.0, 2.0).items():
+        for case in cases:
+            direct = BasisSides(case, basis).quotient() is not None
+            if family.value.endswith("ckn") and case.delta == 0.0:
+                assert former_direct_rule(case) and not direct
+                result = sharpness_search(case, budget=1000, grid_n=16)
+                assert np.array_equal(result.coefficients, np.eye(5)[0])
+            else:
+                assert direct == former_direct_rule(case), case
 
 
 # -- criterion 5: sharpness probe -----------------------------------------------

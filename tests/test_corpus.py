@@ -266,6 +266,20 @@ def test_seed_changes_no_result(case):
 
 # --- the exact optimum of the p = 2 quotient families ---------------------------
 
+#: cases solved directly because a factor of power 0 leaves one L^2 factor,
+#: whatever the exponent of the other: gagliardo-nirenberg at s = 1 and ckn at
+#: delta = 1 (so r = p = 2)
+ZERO_POWER_CASES = [
+    _case(Family.GAGLIARDO_NIRENBERG, alpha=0.9, p=4.0, q=2.0, s=1.0),
+    _case(Family.CKN, alpha=0.9, p=2.0, q=3.0, delta=1.0, d=0.8, e=0.3),
+]
+
+#: ckn at d = 1 + e, where c = e and the L^2 norm of v with weight x^e cancels
+CANCELLING_CASES = [
+    _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.25, e=0.25),
+    _case(Family.HAD_CKN, alpha=0.9, p=2.0, q=2.0, delta=0.25, d=1.5, e=0.5),
+]
+
 #: covered cases beyond the benchmark's first cases: theta = 2, sobolev-beta at p = 2,
 #: and ckn at delta = 0 and 1, where one factor of the product has power 0
 MORE_EXACT_CASES = [
@@ -274,7 +288,25 @@ MORE_EXACT_CASES = [
     _case(Family.SOBOLEV_BETA, alpha=0.9, beta=0.3, p=2.0),
     _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=0.0, d=0.8, e=0.3),
     _case(Family.CKN, alpha=0.9, p=2.0, q=2.0, delta=1.0, d=0.8, e=0.3),
+    *CANCELLING_CASES,
+    *ZERO_POWER_CASES,
 ]
+
+
+def case_id(case):
+    # the family, and what sets a case apart from the benchmark's first case
+    tags = [f"delta-{case.delta:g}"] if case.delta in (0.0, 1.0) else []
+    tags += [f"{name}-{getattr(case, name):g}" for name in ("p", "q")
+             if getattr(case, name) not in (None, 2.0)]
+    tags += ["c-equals-e"] if case.d is not None and case.d == 1.0 + case.e else []
+    return "-".join([case.family.value, *tags])
+
+
+def test_cancelled_factor_leaves_one_quotient():
+    # at c = e the ckn ratio is (|v|_{2, x^e} / |dv|_{2, x^d})^delta over a constant
+    for case in CANCELLING_CASES:
+        (_, _, delta), = basis_sides(case, 1, 16).quotient()[3]
+        assert delta == 1.0
 
 
 def is_product(case):
@@ -324,7 +356,7 @@ def reference_optimum(case, grid_n, degree=4):
 @pytest.mark.parametrize("grid_n", [64, 129])
 @pytest.mark.parametrize("case", [case for case in EXACT_CASES + MORE_EXACT_CASES
                                   if case.theta in (None, 2.0) and not is_product(case)],
-                         ids=lambda c: c.family.value)
+                         ids=case_id)
 def test_exact_optimum_matches_the_gram_reference(case, grid_n):
     result = sharpness_search(case, budget=1, grid_n=grid_n)
     assert result.certificate.ratio == pytest.approx(reference_optimum(case, grid_n),
@@ -392,11 +424,10 @@ def product_reference(case, grid_n, degree=4):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("grid_n", [64, 129])
 @pytest.mark.parametrize("case", [case for case in EXACT_CASES + MORE_EXACT_CASES
-                                  if is_product(case)],
-                         ids=lambda c: c.family.value + (f"-delta-{c.delta:g}"
-                                                         if c.delta in (0.0, 1.0) else ""))
+                                  if is_product(case)], ids=case_id)
 def test_product_optimum_matches_the_eigenvalue_scan(case, grid_n):
-    # at delta = 0 or 1 a ckn product is one quotient, and nothing divides by 1 - delta
+    # at delta = 1 or c = e a ckn product is one quotient, at delta = 0 (c = e too)
+    # its ratio is constant, and nothing divides by 1 - delta
     result = sharpness_search(case, budget=1, grid_n=grid_n)
     assert result.certificate.ratio == pytest.approx(product_reference(case, grid_n),
                                                      rel=1e-9, abs=0.0)
@@ -431,7 +462,7 @@ def test_boyd_iteration_reaches_the_nelder_mead_ratio(theta, grid_n):
     assert np.max(np.abs(result.coefficients)) == 1.0
 
 
-@pytest.mark.parametrize("case", EXACT_CASES, ids=lambda c: c.family.value)
+@pytest.mark.parametrize("case", EXACT_CASES + ZERO_POWER_CASES, ids=case_id)
 def test_exact_optimum_is_at_least_the_compass_ratio(case):
     compass = compass_search(case, 1000).certificate.ratio
     for seed in (0, 1):
