@@ -93,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_interval(sh, with_n=False)
     sh.add_argument("--n", type=int, default=256)
     sh.add_argument("--budget", type=int, default=500,
-                    help="0 reports u = t - a; where the right-hand norms, once a power 0 "
-                         "and a copy of the left norm are dropped, are all L^2, any budget "
-                         ">= 1 solves the quotient, or a sequence of quotients for two "
-                         "norms, over the basis; otherwise the most compass trials after "
-                         "the first, which stops at convergence")
+                    help="0 reports u = t - a; where the right-hand norms left after "
+                         "dropping those of power 0 and a copy of the left norm are all "
+                         "L^2, any budget >= 1 solves the quotient, or a sequence of "
+                         "quotients for two norms, over the basis; otherwise the most "
+                         "compass trials after the first, which stops at convergence")
     sh.add_argument("--seed", type=int, default=0,
                     help="must be >= 0; has no effect, as no proposal is random")
     sh.add_argument("--degree", type=int, default=4)
