@@ -850,6 +850,20 @@ def test_a_run_raises_the_size_error_of_its_grid(n):
     assert [c.error.split(":")[0] for c in cells] == ["HypothesisError"] * len(cases)
 
 
+def test_a_constant_error_precedes_the_size_error_of_the_maps():
+    # on [1e-320, 2e-320] every weighted-hardy constant overflows (a^-1 does),
+    # and so does the operator scale h^-0.999 / Gamma(1.001): a case scores
+    # its constant before it builds the maps of the run
+    grid = uniform_grid(1e-320, 2e-320, 2)
+    ramp = GridFn(grid, grid.nodes - grid.a, name="t-a")
+    cases = [case(Family.WEIGHTED_HARDY, a=grid.a, b=grid.b, alpha=0.999, p=2.0, gamma=g)
+             for g in (2000.0, 0.0)]
+    with pytest.raises(NumericError) as raised:
+        sweep(Family.WEIGHTED_HARDY, cases, [ramp])
+    assert str(raised.value) == ("weighted-hardy: constant is not a positive finite "
+                                 "number (inf)")
+
+
 @pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])
 def test_block_powers_are_the_scalar_powers(family):
     # a side raised to a power takes the power of each row as a lone float:
