@@ -197,10 +197,12 @@ def lp_trapezoid(values: np.ndarray, h: float, p: float,
     if weights is not None:
         integrand = integrand * weights
     total = trapezoid(integrand, h)
-    if integrand.ndim == 1:
-        return total ** (1.0 / p)
-    # the scalar power of each row: np.power on an array may round differently
-    return np.array([t ** (1.0 / p) for t in total.tolist()])
+    return total ** (1.0 / p) if integrand.ndim == 1 else scalar_powers(total, 1.0 / p)
+
+
+def scalar_powers(x: np.ndarray, exponent: float) -> np.ndarray:
+    """Each value to the power, as a lone float: np.power on an array may round differently."""
+    return np.array([value**exponent for value in x.tolist()])
 
 
 def norm(u: GridFn, kind: NormKind) -> float:

@@ -22,13 +22,15 @@ b - a in the constant.  A sequential record applies its shape to the inner
 derivative v = D^inner u, which must then vanish at a.
 
 One private stage checks and scores blocks of rows for :func:`sweep`,
-``evaluate_sides`` and :class:`BasisSides`; no row depends on its block,
-nor a sweep cell on the run of cases that shares its operators.
+``evaluate_sides`` and :class:`BasisSides`.  It scores every row of a block,
+and a row that fails the boundary check keeps that error; no row depends on
+its block, nor a sweep cell on the run of cases that shares its operators.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -38,7 +40,8 @@ import numpy as np
 
 from .errors import (DomainError, FracineqError, HypothesisError, NumericError, ParamError,
                      SizeError)
-from .grids import MAX_N, Grid, GridFn, lp_trapezoid, trapezoid_weights, uniform_grid
+from .grids import (MAX_N, Grid, GridFn, lp_trapezoid, scalar_powers, trapezoid_weights,
+                    uniform_grid)
 from .operators import apply_operator, log_companion_grid, log_companion_times
 # targets that perfbench/tracer.py wraps here, although no certificate calls them
 from .grids import norm  # noqa: F401
@@ -171,6 +174,8 @@ def _check_gn(case: InequalityCase) -> InequalityCase:
     rel = case.gamma * case.s / case.q + case.gamma * (1.0 - case.s) / case.p
     if abs(rel - 1.0) > _REL_TOL:
         raise _fail(fam, f"gamma*s/q + gamma*(1-s)/p = 1 (got {rel})")
+    if not case.gamma >= 1.0:  # the left norm's exponent; met within the tolerance above
+        raise _fail(fam, f"gamma >= 1 (got gamma={case.gamma})")
     return case
 
 
@@ -294,11 +299,6 @@ class _Maps(NamedTuple):
         # every step from u to these arrays is linear in u
         return _Maps(self.grid, coeffs @ self.v, coeffs @ self.dv,
                      None if self.low is None else coeffs @ self.low)
-
-
-def _pow(x: np.ndarray, exponent: float) -> np.ndarray:
-    # the scalar power of each row: np.power on an array rounds differently
-    return np.array([value**exponent for value in x.tolist()])
 
 
 class _Norm(NamedTuple):
@@ -524,7 +524,7 @@ def _side(spec: _Spec, m: _Maps, terms) -> np.ndarray:
     for term in terms:
         if term.power != 0.0:
             x = spec.norm(m, term)
-            x = x if term.power == 1.0 else _pow(x, term.power)
+            x = x if term.power == 1.0 else scalar_powers(x, term.power)
             out = x if out is None else out * x
     return out
 
@@ -541,14 +541,16 @@ def _sides(spec: _Spec, case: InequalityCase, m: _Maps, cval: float):
 
 
 def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
-           maps: Callable[[list[int]], _Maps], cval: float | None = None):
+           maps: Callable[[], _Maps], cval: float | None = None):
     """The certificate stage: the checks and the sides of a block of rows.
 
-    ``at_a`` holds each row's operand value at a; ``maps(rows)`` builds the
-    maps of those rows.  Returns lhs, rhs norm product and ratio of the rows
-    that pass the boundary check, in order, each row's error or None, and
-    the constant, computed unless given once a row passes.  An error of the
-    constant or of the sides is every scored row's error; nothing is raised.
+    ``at_a`` holds each row's operand value at a; ``maps()`` builds the maps
+    of every row, called once a row passes the boundary check and the
+    constant, computed unless given, is known.  Returns lhs, rhs norm product
+    and ratio of every row (none if no row is scored), each row's error or
+    None, and the constant.  A row that fails the boundary check keeps that
+    error; an error of the constant or of the sides is every other row's,
+    and nothing is raised.
     """
     what = "function" if spec.inner is None else "inner derivative"
     errors = [HypothesisError(f"{case.family.value}: {what} must vanish at a (|value| = "
@@ -556,16 +558,15 @@ def _score(spec: _Spec, case: InequalityCase, at_a: np.ndarray,
               if spec.vanishing and abs(x) > BOUNDARY_TOLERANCE else None
               for x in at_a.tolist()]
     lhs = product = ratio = np.empty(0)
-    rows = [i for i, error in enumerate(errors) if error is None]
-    if rows:
+    if None in errors:
         try:
             cval = _constant(spec, case) if cval is None else cval
             with np.errstate(all="ignore"):  # a side out of float range is refused below
-                lhs, product, ratio = _sides(spec, case, maps(rows), cval)
+                lhs, product, ratio = _sides(spec, case, maps(), cval)
         except FracineqError as exc:
             return lhs, product, ratio, [error or exc for error in errors], cval
-        for i, left, right in zip(rows, lhs.tolist(), product.tolist()):
-            if not (math.isfinite(left) and math.isfinite(right)):
+        for i, (left, right) in enumerate(zip(lhs.tolist(), product.tolist())):
+            if errors[i] is None and not (math.isfinite(left) and math.isfinite(right)):
                 errors[i] = NumericError(f"{case.family.value}: non-finite certificate values "
                                          f"(lhs={left}, product={right}, constant={cval})")
     return lhs, product, ratio, errors, cval
@@ -575,12 +576,11 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
                   disc_tol: float | None) -> list[list[Certificate | FracineqError]]:
     """The certificates, or row errors, of a run of cases over functions on one grid.
 
-    The cases of a run share their operators (``_Spec.key``), and the
-    boundary check depends only on the operand, so every case scores the
-    same rows: the operand and the maps of those rows are built once, by the
-    first case that scores a row, and each case is scored against them.
-    Then, unless ``disc_tol`` is given, the same for the coarse copies of
-    the rows: the Richardson pass, built once the fine maps are released.
+    The cases of a run share their operators (``_Spec.key``), so the
+    operand and the maps of every row are built once, the maps by the first
+    case that scores a row, and each case is scored against them.  Then,
+    unless ``disc_tol`` is given, the same for the coarse copies of the
+    rows: the Richardson pass, built once the fine maps are released.
     Returns each case's cells, in order.  Every error is a cell, SizeError
     and NumericError included; nothing is raised.
     """
@@ -591,22 +591,16 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
         v = spec.operand(cases[0], g, u)
     except FracineqError as exc:
         return [[exc] * len(fns) for _ in cases]
-    fine = []  # the rows every case scores, and their maps
-
-    def maps(rows):
-        if not fine:
-            fine[:] = rows, spec.maps(cases[0], g, v if len(rows) == len(v) else v[rows])
-        return fine[1]
-
+    maps = functools.cache(lambda: spec.maps(cases[0], g, v))
     scores = [_score(spec, case, v[:, 0], maps) for case in cases]
-    rows = fine[0] if fine else []
-    del fine[:], v  # released before the coarse maps are built
+    maps.cache_clear()
+    del v  # released before the coarse maps are built
     tols = [np.full(len(ratio), 1e-6 if disc_tol is None else float(disc_tol))
             for _, _, ratio, _, _ in scores]
     if disc_tol is None and g.n >= 4 and any(map(len, tols)):
         coarse = uniform_grid(g.a, g.b, g.n // 2)  # every other node; interpolated for odd n
-        x = (u[rows, ::2] if g.n % 2 == 0
-             else np.array([np.interp(coarse.nodes, g.nodes, u[i]) for i in rows]))
+        x = (u[:, ::2] if g.n % 2 == 0
+             else np.array([np.interp(coarse.nodes, g.nodes, row) for row in u]))
         with np.errstate(all="ignore"):
             # no check fails here that passed on the fine grid: 2h only shrinks h^-alpha
             m = spec.maps(cases[0], coarse, spec.operand(cases[0], coarse, x))
@@ -614,11 +608,11 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
                 if len(tol):
                     tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
     for case, (lhs, product, ratio, cells, cval), tol in zip(cases, scores, tols):
-        for k, i in enumerate(rows):
-            if cells[i] is None:
-                cells[i] = Certificate(case, fns[i].name, float(lhs[k]), float(product[k]),
-                                       cval, float(cval * product[k]), float(ratio[k]),
-                                       float(tol[k]), bool(ratio[k] <= 1.0 + tol[k]), g.n)
+        for i, cell in enumerate(cells):
+            if cell is None:
+                cells[i] = Certificate(case, fns[i].name, float(lhs[i]), float(product[i]),
+                                       cval, float(cval * product[i]), float(ratio[i]),
+                                       float(tol[i]), bool(ratio[i] <= 1.0 + tol[i]), g.n)
     return [cells for _, _, _, cells, _ in scores]
 
 
@@ -659,13 +653,10 @@ class BasisSides:
         self._maps = spec.maps(case, grid, v)
 
     def ratios(self, coeffs: np.ndarray) -> tuple[np.ndarray, FracineqError | None]:
-        """Grid ratios of the rows before the first failing one, and that row's error."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        m = self._maps.combine(coeffs)
-        _, _, ratio, errors, _ = _score(
-            self._spec, self.case, m.v[:, 0],
-            lambda rows: m if len(rows) == len(coeffs) else self._maps.combine(coeffs[rows]),
-            self.constant)
+        """Every row scored: the ratios before the first failing row, and that row's error."""
+        m = self._maps.combine(np.asarray(coeffs, dtype=float))
+        _, _, ratio, errors, _ = _score(self._spec, self.case, m.v[:, 0], lambda: m,
+                                        self.constant)
         bad = next((i for i, error in enumerate(errors) if error is not None), len(errors))
         return ratio[:bad], (errors + [None])[bad]
 

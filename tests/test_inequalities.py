@@ -137,6 +137,18 @@ def test_gn_rejects_broken_exponent_relation():
                            p=2.0, q=2.0, s=0.5, gamma=3.0))
 
 
+@pytest.mark.parametrize("family", [Family.GAGLIARDO_NIRENBERG, Family.HAD_GAGLIARDO_NIRENBERG])
+def test_gn_rejects_a_gamma_below_one_within_the_relation_tolerance(family):
+    # p = 1, s = 0: the relation reads gamma = 1, which 1 - 5e-11 meets within
+    # 1e-10; as the left norm's exponent it would fail every certificate
+    with pytest.raises(ParamError) as raised:
+        validate_case(case(family, a=1.0, b=2.0, alpha=0.9, p=1.0, q=2.0, s=0.0,
+                           gamma=0.99999999995))
+    assert str(raised.value) == f"{family.value}: requires gamma >= 1 (got gamma=0.99999999995)"
+    assert validate_case(case(family, a=1.0, b=2.0, alpha=0.9, p=1.0, q=2.0, s=0.0,
+                              gamma=1.00000000005)).gamma == 1.00000000005
+
+
 def test_gn_accepts_consistent_gamma_for_all_s():
     # p=q=2 and gamma=2 satisfy the relation identically in s
     for s in (0.0, 0.3, 1.0):

@@ -463,6 +463,12 @@ HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", 
      "error: operator scale h^-0.999 / Gamma(1.001) overflows (h = 5e-321)"),
     (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "t", "--a", "0", "--b", "inf",
       "--n", "8"], 3, "error: grid requires finite endpoints (got a=0.0, b=inf)"),
+    # a stored gamma below 1 that meets the exponent relation within its tolerance:
+    # refused as a case, not a failed certificate per function
+    (["verify", "--family", "gagliardo-nirenberg", "--alpha", "0.9", "--p", "1", "--q", "2",
+      "--s", "0", "--gamma-w", "0.99999999995", "--a", "0", "--b", "1", "--n", "16",
+      "--corpus", "powers:1,2"], 3,
+     "error: gagliardo-nirenberg: requires gamma >= 1 (got gamma=0.99999999995)"),
 ])
 def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
     # one line on stderr: no traceback, no numpy warning, no report
