@@ -265,8 +265,9 @@ def _constant_hardy(case: InequalityCase, order: float, span: float) -> float:
 
 
 def _constant_weighted_hardy(case: InequalityCase, order: float, span: float) -> float:
+    # (b/a)^g times the Hardy constant: a^(-g-1) alone overflows on a tiny interval
     g = abs(case.gamma)
-    return case.a ** (-g - 1.0) * case.b**g * _chain(case, order, span, case.p)
+    return (case.b / case.a) ** g * _chain(case, order, span, case.p) / case.a
 
 
 def _constant_gn(case: InequalityCase, order: float, span: float) -> float:

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +27,7 @@ from fracineq import (
     step,
     uniform_grid,
 )
+from fracineq import diffusion
 from fracineq.diffusion import MAX_STEPS
 from fracineq.grids import MAX_DENSE_N
 
@@ -179,6 +181,8 @@ def test_nsteps_rounds_down_beyond_the_slack():
 
 @pytest.mark.parametrize("alpha", [0.75, 1.0])
 def test_run_equals_loop_of_step_bit_for_bit(alpha):
+    # bit for bit at order 1, where run steps with dpotrs; below order 1 run
+    # takes the energies from a Gauss rule, which agrees with the step loop
     problem = make_problem(alpha=alpha, n=32, T=0.05, dt=1e-3)
     trace = run(problem)
     k = assemble_stiffness(problem.grid, alpha)
@@ -189,7 +193,11 @@ def test_run_equals_loop_of_step_bit_for_bit(alpha):
     for _ in range(problem.nsteps):
         u = step(u, k, m, problem.dt, alpha=alpha)
         energy.append(u @ (m * u))
-    assert np.array_equal(trace.energy, np.array(energy))
+    energy = np.array(energy)
+    if alpha == 1.0:
+        assert np.array_equal(trace.energy, energy)
+    else:
+        assert np.max(np.abs(trace.energy - energy) / energy) <= 1e-12
     assert np.array_equal(k, k_before)
 
 
@@ -209,7 +217,7 @@ def _energies(problem, solve):
 @pytest.mark.parametrize("n", [129, 1024, 2048])
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
 def test_run_below_order_one_matches_cho_solve(alpha, n):
-    # one product per step with the inverse of M + dt K against LAPACK's potrs on the same K
+    # the Gauss rule of the Lanczos run against LAPACK's potrs steps on the same K
     problem = make_problem(alpha=alpha, n=n, T=0.04, dt=2e-3,
                            profile=lambda t: t + np.sin(7.0 * np.pi * t))
     energy = run(problem).energy
@@ -221,7 +229,7 @@ def test_run_below_order_one_matches_cho_solve(alpha, n):
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
 def test_run_below_order_one_stays_accurate_over_500_steps(alpha, n):
-    # the inverse of M + dt K, applied 500 times, against LAPACK's potrs
+    # the Gauss rule against 500 steps of LAPACK's potrs
     problem = make_problem(alpha=alpha, n=n, T=1.0, dt=2e-3,
                            profile=lambda t: t + np.sin(7.0 * np.pi * t))
     energy = run(problem).energy
@@ -231,9 +239,9 @@ def test_run_below_order_one_stays_accurate_over_500_steps(alpha, n):
 
 
 def test_run_below_order_one_keeps_one_dense_array():
-    # the inverse overwrites the Cholesky factor, which overwrites K, and the
-    # product reads it without a copy; tracemalloc sees numpy's arrays only,
-    # not the workspace OpenBLAS allocates inside dpotri
+    # the Cholesky factor overwrites K and the triangular solves read it
+    # without a copy; the Lanczos basis holds m rows of n floats, m about 20
+    # here; tracemalloc sees numpy's arrays only, not OpenBLAS workspace
     n = 1024
     problem = make_problem(alpha=0.75, n=n, T=0.01, dt=1e-3)
     tracemalloc.start()
@@ -243,6 +251,90 @@ def test_run_below_order_one_keeps_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * n * n
+
+
+def _stepped_energies_mp(problem):
+    # the implicit Euler recursion u_k = (M + dt K)^-1 M u_(k-1) in 30-digit
+    # arithmetic, from the float stiffness, mass, dt and u0
+    with mpmath.workdps(30):
+        k = assemble_stiffness(problem.grid, problem.alpha)
+        mass = [mpmath.mpf(float(x)) for x in mass_diagonal(problem.grid)]
+        n = len(mass)
+        system = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                system[i, j] = mpmath.mpf(problem.dt) * mpmath.mpf(float(k[i, j]))
+            system[i, i] += mass[i]
+        inverse = mpmath.inverse(system)
+        propagate = np.array([[inverse[i, j] * mass[j] for j in range(n)] for i in range(n)],
+                             dtype=object)
+        weights = np.array(mass, dtype=object)
+        u = np.array([mpmath.mpf(float(x)) for x in problem.u0.samples[1:]], dtype=object)
+        energy = [float(u @ (weights * u))]
+        for _ in range(problem.nsteps):
+            u = propagate @ u
+            energy.append(float(u @ (weights * u)))
+    return np.array(energy)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.95])
+def test_run_below_order_one_matches_the_stepped_recursion_in_mpmath(alpha):
+    problem = make_problem(alpha=alpha, n=32, T=1.0, dt=2e-3,
+                           profile=lambda t: t + np.sin(7.0 * np.pi * t))
+    energy = run(problem).energy
+    expect = _stepped_energies_mp(problem)
+    assert energy.size == expect.size == 501
+    assert np.max(np.abs(energy - expect) / expect) <= 1e-12
+
+
+def test_run_below_order_one_exhausts_a_small_krylov_space():
+    # 31,309 steps on 16 unknowns: the rule has all 16 nodes; the reference is
+    # I(t_k) = sum c^2 (1 + dt lam)^-2k over the eigenpairs of M^-1/2 K M^-1/2
+    problem = make_problem(alpha=0.75, n=16, T=0.031309, dt=1e-6)
+    assert problem.nsteps == 31309
+    solves = []
+    real_solve = diffusion._solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diffusion, "_solve", lambda *args: solves.append(1) or real_solve(*args))
+        energy = run(problem).energy
+    assert len(solves) == 16
+    root = np.sqrt(mass_diagonal(problem.grid))
+    k = assemble_stiffness(problem.grid, problem.alpha)
+    lam, vecs = scipy.linalg.eigh(k / root[:, None] / root[None, :])
+    c2 = (vecs.T @ (root * problem.u0.samples[1:])) ** 2
+    steps = np.arange(energy.size)[:, None]
+    expect = (c2 * (1.0 + problem.dt * lam) ** (-2.0 * steps)).sum(axis=1)
+    assert np.max(np.abs(energy - expect) / expect) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0])
+def test_run_of_one_step_equals_one_step(alpha):
+    problem = make_problem(alpha=alpha, n=64, T=1e-3, dt=1e-3)
+    assert problem.nsteps == 1
+    energy = run(problem).energy
+    m = mass_diagonal(problem.grid)
+    u = step(problem.u0.samples[1:], assemble_stiffness(problem.grid, alpha), m,
+             problem.dt, alpha=alpha)
+    assert energy.size == 2
+    assert energy[0] == problem.u0.samples[1:] @ (m * problem.u0.samples[1:])
+    assert energy[1] == pytest.approx(u @ (m * u), rel=1e-14)
+
+
+@pytest.mark.parametrize(("system", "u0"), [
+    (np.array([[4.0]]), np.array([3.0])),  # one unknown
+    (np.diag([4.0, 16.0]), np.array([3.0, 0.0])),  # z is an eigenvector: beta = 0 at once
+])
+def test_gauss_energies_stop_at_a_breakdown(system, u0):
+    # R = diag(1/4, ...) and z = (3, 0, ...): one solve, and I_k = 9 / 16^k exactly
+    solves = []
+    real_solve = diffusion._solve
+    energy = np.full(41, 9.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diffusion, "_solve", lambda *args: solves.append(1) or real_solve(*args))
+        diffusion._gauss_energies(scipy.linalg.cho_factor(system), np.ones(u0.size), u0,
+                                  energy, 0.75)
+    assert len(solves) == 1
+    assert np.array_equal(energy, 9.0 * 0.0625 ** np.arange(41))
 
 
 @pytest.mark.parametrize("n", [32, 129])

@@ -237,6 +237,17 @@ def test_weighted_hardy_reduces_to_hardy_at_gamma_zero():
         assert cw == pytest.approx(ch, rel=1e-14)
 
 
+def test_weighted_hardy_at_gamma_zero_is_hardy_on_a_tiny_interval():
+    # a^-1 alone overflows on [1e-320, 2e-320]; the constant does not
+    for alpha, p in ((0.999, 2.0), (0.8, 3.0)):
+        kw = dict(a=1e-320, b=2e-320, alpha=alpha, p=p)
+        ch = constant(case(Family.HARDY, **kw))
+        assert math.isfinite(ch)
+        assert constant(case(Family.WEIGHTED_HARDY, gamma=0.0, **kw)) == ch
+    assert constant(case(Family.HARDY, a=1e-320, b=2e-320, alpha=0.999, p=2.0)) \
+        == 2.0904150197628457
+
+
 def test_hadamard_ps_constant_unit_case():
     c = constant(case(Family.HAD_POINCARE_SOBOLEV, a=1.0, b=math.e,
                       alpha=1.0, p=2.0))
@@ -863,9 +874,9 @@ def test_a_run_raises_the_size_error_of_its_grid(n):
 
 
 def test_a_constant_error_precedes_the_size_error_of_the_maps():
-    # on [1e-320, 2e-320] every weighted-hardy constant overflows (a^-1 does),
-    # and so does the operator scale h^-0.999 / Gamma(1.001): a case scores
-    # its constant before it builds the maps of the run
+    # on [1e-320, 2e-320] the weighted-hardy constant at gamma = 2000 overflows
+    # ((b/a)^2000 does), and so does the operator scale h^-0.999 / Gamma(1.001):
+    # a case scores its constant before it builds the maps of the run
     grid = uniform_grid(1e-320, 2e-320, 2)
     ramp = GridFn(grid, grid.nodes - grid.a, name="t-a")
     cases = [case(Family.WEIGHTED_HARDY, a=grid.a, b=grid.b, alpha=0.999, p=2.0, gamma=g)
