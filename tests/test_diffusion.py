@@ -240,7 +240,7 @@ def test_run_below_order_one_stays_accurate_over_500_steps(alpha, n):
 
 def test_run_below_order_one_keeps_one_dense_array():
     # the Cholesky factor overwrites K and the triangular solves read it
-    # without a copy; the Lanczos basis holds m rows of n floats, m about 20
+    # without a copy; the Lanczos basis holds at most 11 rows of n floats
     # here; tracemalloc sees numpy's arrays only, not OpenBLAS workspace
     n = 1024
     problem = make_problem(alpha=0.75, n=n, T=0.01, dt=1e-3)
