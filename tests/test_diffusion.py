@@ -307,14 +307,13 @@ def test_run_below_order_one_exhausts_a_small_krylov_space():
     assert np.max(np.abs(energy - expect) / expect) <= 1e-10
 
 
-@pytest.mark.parametrize("alpha", [0.75, 1.0])
-def test_run_of_one_step_equals_one_step(alpha):
-    problem = make_problem(alpha=alpha, n=64, T=1e-3, dt=1e-3)
+def test_run_of_one_step_equals_one_step():
+    problem = make_problem(alpha=0.75, n=64, T=1e-3, dt=1e-3)
     assert problem.nsteps == 1
     energy = run(problem).energy
     m = mass_diagonal(problem.grid)
-    u = step(problem.u0.samples[1:], assemble_stiffness(problem.grid, alpha), m,
-             problem.dt, alpha=alpha)
+    u = step(problem.u0.samples[1:], assemble_stiffness(problem.grid, 0.75), m,
+             problem.dt, alpha=0.75)
     assert energy.size == 2
     assert energy[0] == problem.u0.samples[1:] @ (m * problem.u0.samples[1:])
     assert energy[1] == pytest.approx(u @ (m * u), rel=1e-14)
