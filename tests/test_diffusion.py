@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,6 +15,7 @@ from fracineq import (
     GridFn,
     NormKind,
     NumericError,
+    OperatorMatrix,
     SizeError,
     SolveError,
     assemble_stiffness,
@@ -61,17 +64,34 @@ def test_stiffness_toeplitz_matches_dense_product(alpha, n):
 
 
 def _stiffness_by_diagonals(grid, alpha):
-    # reference: one cumulative sum per diagonal d, over the products b[m] b[m-d]
-    # for m = d..n-1, written to both triangles
-    n, h = grid.n, grid.h
+    # reference: the same double-double running sums, built along the diagonals:
+    # step j adds the product b[d+j] b[j] to the sum of every diagonal d at once,
+    # which gives the entries K[n-1-j-d, n-1-j] of column n-1-j, written to both
+    # triangles
+    n = grid.n
     b = operator_matrix(grid, alpha, "caputo").band[:n]
+    e = math.frexp(b[0])[1]
+    b = np.ldexp(b, -e)
+    h2 = math.ldexp(grid.h, 2 * e)
+    split, two_product, add = diffusion._split, diffusion._two_product, diffusion._add
+    b_hi, b_lo = split(b)
+    h2_hi, h2_lo = split(h2)
+    s_hi, s_lo = np.zeros(n), np.zeros(n)
     k = np.empty((n, n))
-    flat = k.reshape(-1)
-    for d in range(n):
-        prod = b[d:] * b[:n - d]
-        diagonal = (h * np.cumsum(prod) - 0.5 * h * prod)[::-1]
-        flat[d:n * (n - d):n + 1] = diagonal
-        flat[d * n::n + 1] = diagonal
+    for j in range(n):
+        y = float(b[j])
+        y_hi, y_lo = split(y)
+        prod, err = two_product(b[j:], b_hi[j:], b_lo[j:], y, y_hi, y_lo)
+        prod *= 0.5
+        err *= 0.5
+        a_hi, a_lo = add(s_hi[:n - j], s_lo[:n - j], prod, err)
+        s_hi[:n - j], s_lo[:n - j] = add(a_hi, a_lo, prod, err)
+        a_hi_hi, a_hi_lo = split(a_hi)
+        column, column_err = two_product(a_hi, a_hi_hi, a_hi_lo, h2, h2_hi, h2_lo)
+        column += column_err + h2 * a_lo
+        c = n - 1 - j
+        k[c::-1, c] = column
+        k[c, c::-1] = column
     return k
 
 
@@ -81,6 +101,32 @@ def test_stiffness_rows_equal_the_diagonal_sums_bit_for_bit(alpha, n):
     grid = uniform_grid(0.0, 1.0, n)
     k = assemble_stiffness(grid, alpha)
     assert k.tobytes() == _stiffness_by_diagonals(grid, alpha).tobytes()
+
+
+def _exact_stiffness(grid, alpha):
+    # T^T M T of the float band in integer arithmetic: every band entry is an
+    # integer over the largest denominator, a power of two, and M = (h/2) W with
+    # W = diag(2, ..., 2, 1)
+    n = grid.n
+    band = [Fraction(x) for x in operator_matrix(grid, alpha, "caputo").band[:n].tolist()]
+    scale = max(x.denominator for x in band)
+    t = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i + 1):
+            t[i, j] = int(band[i - j] * scale)
+    w = np.array([2] * (n - 1) + [1], dtype=object)
+    return t.T @ (w[:, None] * t), Fraction(grid.h) / (2 * scale * scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 129])
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
+def test_stiffness_entries_are_within_one_ulp_of_the_exact_product(alpha, n):
+    grid = uniform_grid(0.0, 1.0, n)
+    k = assemble_stiffness(grid, alpha)
+    exact, factor = _exact_stiffness(grid, alpha)
+    for value, count in zip(k.ravel().tolist(), exact.ravel().tolist()):
+        entry = factor * count
+        assert abs(Fraction(value) - entry) <= Fraction(np.spacing(abs(float(entry))))
 
 
 def test_stiffness_energy_identity():
@@ -214,14 +260,30 @@ def _energies(problem, solve):
     return np.array(energy)
 
 
+def _svd_energies(problem):
+    # I(t_k) = sum c^2 (1 + dt s^2)^-2k over the singular triples of
+    # C = M^1/2 T M^-1/2, since M^-1/2 K M^-1/2 = C^T C with K = T^T M T: a
+    # reference that does not pass through a rounded K
+    root = np.sqrt(mass_diagonal(problem.grid))
+    t = operator_matrix(problem.grid, problem.alpha, "caputo").weights[1:, 1:]
+    _, s, vt = scipy.linalg.svd(root[:, None] * t / root[None, :])
+    c2 = (vt @ (root * problem.u0.samples[1:])) ** 2
+    rate = -2.0 * np.log1p(problem.dt * s * s)
+    steps = np.arange(problem.nsteps + 1)
+    return np.concatenate([np.exp(chunk[:, None] * rate) @ c2
+                           for chunk in np.array_split(steps, 1 + steps.size // 4096)])
+
+
 @pytest.mark.parametrize("n", [129, 1024, 2048])
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
 def test_run_below_order_one_matches_cho_solve(alpha, n):
-    # the Gauss rule of the Lanczos run against LAPACK's potrs steps on the same K
+    # the Gauss rule of the Lanczos run against the exact implicit Euler energies
+    # of the float band; cho_solve steps over a K assembled by plain sums read
+    # 2.6e-10 off at alpha = 0.95, n = 2048
     problem = make_problem(alpha=alpha, n=n, T=0.04, dt=2e-3,
                            profile=lambda t: t + np.sin(7.0 * np.pi * t))
     energy = run(problem).energy
-    expect = _energies(problem, scipy.linalg.cho_solve)
+    expect = _svd_energies(problem)
     assert energy.size == expect.size == 21
     assert np.max(np.abs(energy - expect) / expect) <= 1e-12
 
@@ -229,41 +291,77 @@ def test_run_below_order_one_matches_cho_solve(alpha, n):
 @pytest.mark.parametrize("n", [256, 512])
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
 def test_run_below_order_one_stays_accurate_over_500_steps(alpha, n):
-    # the Gauss rule against 500 steps of LAPACK's potrs
     problem = make_problem(alpha=alpha, n=n, T=1.0, dt=2e-3,
                            profile=lambda t: t + np.sin(7.0 * np.pi * t))
     energy = run(problem).energy
-    expect = _energies(problem, scipy.linalg.cho_solve)
+    expect = _svd_energies(problem)
     assert energy.size == expect.size == 501
     assert np.max(np.abs(energy - expect) / expect) <= 1e-12
 
 
-def test_run_below_order_one_keeps_one_dense_array():
-    # the Cholesky factor overwrites K and the triangular solves read it
-    # without a copy; the Lanczos basis holds at most 11 rows of n floats
-    # here; tracemalloc sees numpy's arrays only, not OpenBLAS workspace
+def test_run_below_order_one_stays_accurate_over_100000_steps():
+    # the slow modes are the largest eigenvalues of P, which the run resolves to
+    # full relative accuracy, so the error does not grow with the step count
+    problem = make_problem(alpha=0.95, n=512, T=1.0, dt=1e-5,
+                           profile=lambda t: t + np.sin(7.0 * np.pi * t))
+    energy = run(problem).energy
+    expect = _svd_energies(problem)
+    assert energy.size == expect.size == 100001
+    assert np.max(np.abs(energy - expect) / expect) <= 1e-12
+
+
+def test_run_below_order_one_keeps_no_dense_array():
+    # the Lanczos basis holds 16 rows of n floats per block; the operators, the
+    # FFT work arrays and the probes a few more; tracemalloc sees numpy's arrays
+    # only, not OpenBLAS workspace
     n = 1024
     problem = make_problem(alpha=0.75, n=n, T=0.01, dt=1e-3)
     tracemalloc.start()
     try:
-        run(problem)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("assemble_stiffness", "_factor"):
+                patch.setattr(diffusion, name,
+                              lambda *args, name=name: pytest.fail(f"{name} called"))
+            run(problem)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n
+    assert peak <= 64 * 8 * n
+
+
+def test_run_hands_over_its_arrays_without_a_copy():
+    # times and energy are the only arrays of nsteps floats alive together; an
+    # EnergyTrace built by a caller still copies the caller's arrays
+    problem = make_problem(alpha=0.75, n=16, T=0.2, dt=1e-6)
+    tracemalloc.start()
+    try:
+        trace = run(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * trace.energy.size
+    assert not (trace.times.flags.writeable or trace.energy.flags.writeable)
+    times, energy = trace.times.copy(), trace.energy.copy()
+    copied = EnergyTrace(times, energy, trace.lam)
+    times[0] = energy[0] = -1.0
+    assert copied.times[0] == 0.0 and copied.energy[0] == trace.energy[0]
 
 
 def _stepped_energies_mp(problem):
-    # the implicit Euler recursion u_k = (M + dt K)^-1 M u_(k-1) in 30-digit
-    # arithmetic, from the float stiffness, mass, dt and u0
+    # the implicit Euler recursion u_k = (M + dt T^T M T)^-1 M u_(k-1) in 30-digit
+    # arithmetic, from the float band, mass, dt and u0
+    n = problem.grid.n
     with mpmath.workdps(30):
-        k = assemble_stiffness(problem.grid, problem.alpha)
+        band = [mpmath.mpf(float(x))
+                for x in operator_matrix(problem.grid, problem.alpha, "caputo").band[:n]]
         mass = [mpmath.mpf(float(x)) for x in mass_diagonal(problem.grid)]
-        n = len(mass)
+        dt = mpmath.mpf(problem.dt)
         system = mpmath.matrix(n, n)
         for i in range(n):
             for j in range(n):
-                system[i, j] = mpmath.mpf(problem.dt) * mpmath.mpf(float(k[i, j]))
+                stiffness = mpmath.fsum(band[m - i] * mass[m] * band[m - j]
+                                        for m in range(max(i, j), n))
+                system[i, j] = dt * stiffness
             system[i, i] += mass[i]
         inverse = mpmath.inverse(system)
         propagate = np.array([[inverse[i, j] * mass[j] for j in range(n)] for i in range(n)],
@@ -287,24 +385,25 @@ def test_run_below_order_one_matches_the_stepped_recursion_in_mpmath(alpha):
     assert np.max(np.abs(energy - expect) / expect) <= 1e-12
 
 
+def _count_applies(patch):
+    calls = []
+    apply = OperatorMatrix.apply
+    patch.setattr(OperatorMatrix, "apply", lambda self, x: calls.append(1) or apply(self, x))
+    return calls
+
+
 def test_run_below_order_one_exhausts_a_small_krylov_space():
-    # 31,309 steps on 16 unknowns: the rule has all 16 nodes; the reference is
-    # I(t_k) = sum c^2 (1 + dt lam)^-2k over the eigenpairs of M^-1/2 K M^-1/2
-    problem = make_problem(alpha=0.75, n=16, T=0.031309, dt=1e-6)
+    # 31,309 steps on 16 unknowns from rough data: the rule takes all 16 nodes,
+    # two convolutions per Lanczos step, and stops there
+    problem = make_problem(alpha=0.75, n=16, T=0.031309, dt=1e-6,
+                           profile=lambda t: np.random.default_rng(3).uniform(-1, 1, t.size))
     assert problem.nsteps == 31309
-    solves = []
-    real_solve = diffusion._solve
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(diffusion, "_solve", lambda *args: solves.append(1) or real_solve(*args))
+        applies = _count_applies(patch)
         energy = run(problem).energy
-    assert len(solves) == 16
-    root = np.sqrt(mass_diagonal(problem.grid))
-    k = assemble_stiffness(problem.grid, problem.alpha)
-    lam, vecs = scipy.linalg.eigh(k / root[:, None] / root[None, :])
-    c2 = (vecs.T @ (root * problem.u0.samples[1:])) ** 2
-    steps = np.arange(energy.size)[:, None]
-    expect = (c2 * (1.0 + problem.dt * lam) ** (-2.0 * steps)).sum(axis=1)
-    assert np.max(np.abs(energy - expect) / expect) <= 1e-10
+    assert len(applies) == 2 * 16
+    expect = _svd_energies(problem)
+    assert np.max(np.abs(energy - expect) / expect) <= 1e-12
 
 
 def test_run_of_one_step_equals_one_step():
@@ -320,20 +419,32 @@ def test_run_of_one_step_equals_one_step():
 
 
 @pytest.mark.parametrize(("system", "u0"), [
-    (np.array([[4.0]]), np.array([3.0])),  # one unknown
-    (np.diag([4.0, 16.0]), np.array([3.0, 0.0])),  # z is an eigenvector: beta = 0 at once
+    (np.array([1.0 / 3.0]), np.array([3.0])),  # one unknown
+    (np.array([1.0 / 3.0, 1.0 / 15.0]), np.array([3.0, 0.0])),  # u0 is an eigenvector: beta = 0
 ])
 def test_gauss_energies_stop_at_a_breakdown(system, u0):
-    # R = diag(1/4, ...) and z = (3, 0, ...): one solve, and I_k = 9 / 16^k exactly
-    solves = []
-    real_solve = diffusion._solve
+    # P = diag(system) = diag(1/3, ...) with shift 1 gives R = diag(1/4, ...), and
+    # z = u0 = (3, 0, ...): one product, and I_k = 9 / 16^k
+    products = []
     energy = np.full(41, 9.0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(diffusion, "_solve", lambda *args: solves.append(1) or real_solve(*args))
-        diffusion._gauss_energies(scipy.linalg.cho_factor(system), np.ones(u0.size), u0,
-                                  energy, 0.75)
-    assert len(solves) == 1
-    assert np.array_equal(energy, 9.0 * 0.0625 ** np.arange(41))
+    diffusion._gauss_energies(lambda v: products.append(1) or system * v, 1.0, u0, energy)
+    assert len(products) == 1
+    assert np.allclose(energy, 9.0 * 0.0625 ** np.arange(41), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gauss_energies_give_no_weight_to_a_ritz_value_at_or_below_zero():
+    # P = diag(1, 0, -1e-300) with shift 1: only the node at 1, with R = 1/2 and
+    # weight 1/3, contributes; a shift beyond the float range sends every energy
+    # after the first to 0
+    energy = np.empty(5)
+    energy[0] = 3.0
+    diffusion._gauss_energies(lambda v: np.array([1.0, 0.0, -1e-300]) * v, 1.0,
+                              np.ones(3), energy)
+    assert np.allclose(energy[1:], 0.25 ** np.arange(1, 5), rtol=1e-14, atol=0.0)
+    diffusion._gauss_energies(lambda v: np.array([1.0, 1e-300]) * v, 1e300,
+                              np.ones(2), energy[:3])
+    assert np.array_equal(energy[1:3], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [32, 129])

@@ -469,6 +469,9 @@ HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", 
       "--s", "0", "--gamma-w", "0.99999999995", "--a", "0", "--b", "1", "--n", "16",
       "--corpus", "powers:1,2"], 3,
      "error: gagliardo-nirenberg: requires gamma >= 1 (got gamma=0.99999999995)"),
+    # the initial energy u0^T M u0 of u0 = t on a grid of h = 6.25e148
+    (["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1e150", "--n", "16", "--T", "1",
+      "--dt", "0.5"], 4, "numeric error: initial energy overflows (h = 6.25e+148)"),
 ])
 def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
     # one line on stderr: no traceback, no numpy warning, no report
