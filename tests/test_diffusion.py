@@ -385,21 +385,16 @@ def test_run_below_order_one_matches_the_stepped_recursion_in_mpmath(alpha):
     assert np.max(np.abs(energy - expect) / expect) <= 1e-12
 
 
-def _count_applies(patch):
-    calls = []
-    apply = OperatorMatrix.apply
-    patch.setattr(OperatorMatrix, "apply", lambda self, x: calls.append(1) or apply(self, x))
-    return calls
-
-
 def test_run_below_order_one_exhausts_a_small_krylov_space():
     # 31,309 steps on 16 unknowns from rough data: the rule takes all 16 nodes,
     # two convolutions per Lanczos step, and stops there
     problem = make_problem(alpha=0.75, n=16, T=0.031309, dt=1e-6,
                            profile=lambda t: np.random.default_rng(3).uniform(-1, 1, t.size))
     assert problem.nsteps == 31309
+    applies = []
+    apply = OperatorMatrix.apply
     with pytest.MonkeyPatch.context() as patch:
-        applies = _count_applies(patch)
+        patch.setattr(OperatorMatrix, "apply", lambda self, x: applies.append(1) or apply(self, x))
         energy = run(problem).energy
     assert len(applies) == 2 * 16
     expect = _svd_energies(problem)
