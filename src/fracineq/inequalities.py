@@ -288,18 +288,20 @@ class _Maps(NamedTuple):
     ``v`` is the operand on ``grid`` (u, or its inner derivative for a
     sequential family), ``dv`` the derivative on the right (on the companion
     grid for a Hadamard family) and ``low`` the order-beta derivative of
-    sobolev-beta.  Each holds one row per function.
+    sobolev-beta.  Each holds one row per function.  ``norms`` memoizes their
+    norms by a term's (map, p, g), for the cases of a run that share a norm.
     """
 
     grid: Grid
     v: np.ndarray
     dv: np.ndarray
-    low: np.ndarray | None = None
+    low: np.ndarray | None
+    norms: dict
 
     def combine(self, coeffs: np.ndarray) -> "_Maps":
         # every step from u to these arrays is linear in u
         return _Maps(self.grid, coeffs @ self.v, coeffs @ self.dv,
-                     None if self.low is None else coeffs @ self.low)
+                     None if self.low is None else coeffs @ self.low, {})
 
 
 class _Norm(NamedTuple):
@@ -352,7 +354,7 @@ class _Spec:
             low = v - v[:, :1] if beta == 0.0 else apply_operator(grid, v, beta, "caputo")[1]
         kind = "hadamard-derivative" if self.hadamard else "caputo"
         dv = apply_operator(grid, v, getattr(case, self.order), kind)[1]
-        return _Maps(grid, v, dv, low)
+        return _Maps(grid, v, dv, low, {})
 
     def weights(self, m: _Maps, term: _Norm) -> tuple[Grid, np.ndarray | None]:
         # the grid of the term's map and its weight x^(g p), None for g = 0,
@@ -524,7 +526,10 @@ def _side(spec: _Spec, m: _Maps, terms) -> np.ndarray:
     out = None
     for term in terms:
         if term.power != 0.0:
-            x = spec.norm(m, term)
+            key = term[:3]
+            x = m.norms.get(key)
+            if x is None:
+                x = m.norms[key] = spec.norm(m, term)
             x = x if term.power == 1.0 else scalar_powers(x, term.power)
             out = x if out is None else out * x
     return out
@@ -609,11 +614,11 @@ def _certificates(spec: _Spec, cases: list[InequalityCase], fns: list[GridFn],
                 if len(tol):
                     tol += np.abs(ratio - _sides(spec, case, m, cval)[2])
     for case, (lhs, product, ratio, cells, cval), tol in zip(cases, scores, tols):
-        for i, cell in enumerate(cells):
-            if cell is None:
-                cells[i] = Certificate(case, fns[i].name, float(lhs[i]), float(product[i]),
-                                       cval, float(cval * product[i]), float(ratio[i]),
-                                       float(tol[i]), bool(ratio[i] <= 1.0 + tol[i]), g.n)
+        sides = zip(lhs.tolist(), product.tolist(), ratio.tolist(), tol.tolist())
+        for i, (left, right, r, t) in enumerate(sides):
+            if cells[i] is None:
+                cells[i] = Certificate(case, fns[i].name, left, right, cval, cval * right, r,
+                                       t, r <= 1.0 + t, g.n)
     return [cells for _, _, _, cells, _ in scores]
 
 

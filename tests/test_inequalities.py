@@ -758,6 +758,11 @@ RUNS = {
                                      dict(s=0.25), dict(alpha=0.4)),
     Family.HAD_CKN: (dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2), dict(d=0.8),
                      dict(alpha=0.8)),
+    # cases of a run share norms: ||v||_p here, and the L^q norm of v with weight e in ckn
+    Family.GAGLIARDO_NIRENBERG: (dict(alpha=0.75, p=2.0, q=2.0, s=0.5), dict(q=3.0),
+                                 dict(alpha=0.9)),
+    Family.CKN: (dict(alpha=0.9, p=2.0, q=2.0, delta=0.5, d=1.0, e=0.2), dict(d=0.8),
+                 dict(alpha=0.8)),
 }
 
 
@@ -792,6 +797,55 @@ def test_broken_and_interleaved_runs_equal_lone_evaluations(family, n):
     if family in (Family.HARDY, Family.HAD_CKN):  # the lifted row is not scored
         assert all(c.error.startswith("HypothesisError") for c in cells
                    if c.function == "lifted" and c.case in (a, a2, b))
+
+
+def test_a_run_computes_each_norm_once_per_maps(monkeypatch):
+    # the cases of a run share the norms of equal (map, p, g), on the fine maps
+    # and, apart from them, on the coarse maps of the Richardson pass
+    from fracineq import inequalities
+
+    grid = uniform_grid(1.0, 2.0, 64)
+    corpus = generate(CorpusSpec.polynomials(grid, 3, 3, 7))
+    cases = [case(Family.GAGLIARDO_NIRENBERG, a=1.0, b=2.0, alpha=0.75, p=p, q=q, s=0.5)
+             for p in (2.0, 4.0) for q in (2.0, 3.0)]
+    spec = inequalities._SPECS[Family.GAGLIARDO_NIRENBERG]
+    terms = [term for c in cases for term in spec.terms(validate_case(c))]
+    calls, lp = [], inequalities.lp_trapezoid
+
+    def counting(values, h, p, weights=None):
+        calls.append((h, p))
+        return lp(values, h, p, weights)
+
+    monkeypatch.setattr(inequalities, "lp_trapezoid", counting)
+    cells = sweep(Family.GAGLIARDO_NIRENBERG, cases, corpus)
+    assert all(c.certificate.passed for c in cells)
+    distinct = {term[:3] for term in terms}
+    assert len(distinct) == 7 < len(terms) == 12
+    assert len(calls) == 2 * len(distinct)
+    assert {h for h, _ in calls} == {grid.h, 2 * grid.h}
+
+
+@pytest.mark.parametrize("family", [Family.HARDY, Family.GAGLIARDO_NIRENBERG,
+                                    Family.HAD_CKN])
+def test_scoring_leaves_the_memoized_norms_as_they_were(family):
+    # a side of power 1 is the memoized array itself: scoring the same maps
+    # again must read the norms the first scoring computed
+    from fracineq import inequalities
+
+    the_case = validate_case(case(family, a=1.0, b=2.0, **VALID[family]))
+    spec = inequalities._SPECS[family]
+    grid = uniform_grid(1.0, 2.0, 128)
+    u = np.array([f.samples for f in generate(CorpusSpec.polynomials(grid, 3, 5, 3))])
+    m = spec.maps(the_case, grid, spec.operand(the_case, grid, u))
+    first = inequalities._score(spec, the_case, m.v[:, 0], lambda: m)
+    memo = {key: value.copy() for key, value in m.norms.items()}
+    second = inequalities._score(spec, the_case, m.v[:, 0], lambda: m)
+    assert memo and m.norms.keys() == memo.keys()
+    for key, value in memo.items():
+        assert np.array_equal(m.norms[key], value), key
+    for x, y in zip(first[:3], second[:3]):
+        assert x.tobytes() == y.tobytes()
+    assert first[3:] == second[3:] == ([None] * len(u), first[4])
 
 
 def test_a_raising_sweep_raises_the_first_error_in_case_order():

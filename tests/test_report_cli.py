@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,10 @@ from fracineq import (
     ParseError,
     SizeError,
     SolveError,
+    SweepCell,
     evaluate_sides,
     sharpness_search,
+    sweep,
     uniform_grid,
     GridFn,
 )
@@ -33,7 +36,8 @@ from fracineq import cli, operators
 from fracineq.cli import main
 from fracineq.operators import OPERATOR_KINDS, OPERATORS
 from fracineq.expressions import MAX_DEPTH
-from fracineq.report import certificate_row, emit_csv, emit_payload_json, format_float
+from fracineq.report import (certificate_row, emit_csv, emit_payload_json, format_float,
+                             sweep_rows)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,6 +112,80 @@ def test_emit_csv_shape():
                      {"n": 16, "sup_diff": 0.25, "order": 1.0}]) == \
         "n,sup_diff,order\n8,0.5,\n16,0.25,1\n"
     assert emit_csv([]) == ""
+
+
+def _emissions(rows):
+    return emit_payload_json(rows, "cmd"), emit_csv(rows)
+
+
+def test_rows_sharing_one_params_dict_emit_the_bytes_of_distinct_dicts():
+    grid = uniform_grid(0.0, 1.0, 64)
+    corpus = [GridFn(grid, k * grid.nodes, name=f"{k}t") for k in (1.0, 2.0, 3.0)]
+    cases = [InequalityCase(Family.POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=alpha, p=2.0)
+             for alpha in (0.9, 1.0)]
+    cells = sweep(Family.POINCARE_SOBOLEV, cases, corpus)
+    shared = sweep_rows(cells)
+    assert shared[0]["params"] is shared[2]["params"] is not shared[3]["params"]
+    distinct = [certificate_row(cell.certificate) for cell in cells]
+    assert shared == distinct
+    assert _emissions(shared) == _emissions(distinct)
+
+
+def test_a_non_finite_float_is_refused_in_a_slot_and_in_a_nested_object():
+    # rhs = 0 and ratio = inf: the float slot of a row
+    cert = replace(sample_certificate(), rhs=0.0, ratio=math.inf)
+    nested = dict(certificate_row(sample_certificate()))
+    nested["params"] = dict(nested["params"], p=math.nan)
+    for row, value in ((certificate_row(cert), "inf"), (nested, "nan"),
+                       ({"x": 1.0, "y": -math.inf}, "-inf"),
+                       ({"x": np.float64(math.nan)}, "nan"),
+                       ({"x": [0.5, {"y": math.inf}]}, "inf")):
+        for emit in (lambda: emit_payload_json([row], "cmd"), lambda: emit_csv([row])):
+            with pytest.raises(NumericError) as raised:
+                emit()
+            assert str(raised.value) == f"cannot serialize non-finite float {value}"
+
+
+def test_values_render_by_their_type():
+    row = {"zero": 0.0, "minus_zero": -0.0, "np_float": np.float64(0.1), "float": 0.1,
+           "np_int": np.int64(-3), "int": 7, "bool": False, "none": None,
+           "nested": {"minus_zero": -0.0, "np_float": np.float64(-0.0), "flag": True}}
+    assert emit_payload_json([row], "cmd").endswith(
+        '"results":[{"zero":0,"minus_zero":-0,"np_float":0.10000000000000001,'
+        '"float":0.10000000000000001,"np_int":-3,"int":7,"bool":false,"none":null,'
+        '"nested":{"minus_zero":-0,"np_float":-0,"flag":true}}]}')
+    assert emit_csv([row]).splitlines()[1].startswith("0,-0,0.10000000000000001,")
+
+
+def test_equal_objects_are_rendered_each_as_itself():
+    # 0.0 == -0.0, so cases and params that differ only in the sign of a zero are
+    # equal: each row must still render its own
+    plus = InequalityCase(Family.POINCARE_SOBOLEV, a=0.0, b=1.0, alpha=0.9, p=2.0)
+    minus = InequalityCase(Family.POINCARE_SOBOLEV, a=-0.0, b=1.0, alpha=0.9, p=2.0)
+    assert plus == minus and plus.params() == minus.params()
+    cells = [SweepCell(case, name, None, error="e") for case in (plus, minus, plus)
+             for name in ("f", "g")]
+    rows = sweep_rows(cells)
+    assert rows[0]["params"] is rows[1]["params"]
+    assert rows[1]["params"] is not rows[2]["params"]
+    for text in _emissions(rows):
+        assert [part.split(",")[0] for part in text.split('"a":')[1:]] == \
+            ["0", "0", "-0", "-0", "0", "0"]
+
+
+def test_an_emission_keeps_no_text_of_the_rows_of_an_array():
+    # only a nested object's text is kept for reuse: an emission of flat rows
+    # peaks at the row texts, their join and the output, about 2.7 times the
+    # output here, and 4.5 times when every row's text is kept as well
+    rows = [{"t": t, "energy": e, "bound": b}
+            for t, e, b in np.random.default_rng(0).random((20000, 3)).tolist()]
+    tracemalloc.start()
+    try:
+        text = emit_payload_json(rows, "cmd")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(text)
 
 
 # --- CLI contract ---------------------------------------------------------------
