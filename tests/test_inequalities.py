@@ -826,10 +826,11 @@ def test_a_run_computes_each_norm_once_per_maps(monkeypatch):
 
 
 @pytest.mark.parametrize("family", [Family.HARDY, Family.GAGLIARDO_NIRENBERG,
-                                    Family.HAD_CKN])
+                                    Family.HAD_CKN, Family.UNCERTAINTY])
 def test_scoring_leaves_the_memoized_norms_as_they_were(family):
-    # a side of power 1 is the memoized array itself: scoring the same maps
-    # again must read the norms the first scoring computed
+    # a side of one norm to the power 1 is the memoized array itself, and the
+    # product of uncertainty's two factors of power 1 starts from one: scoring
+    # the same maps again must read the norms the first scoring computed
     from fracineq import inequalities
 
     the_case = validate_case(case(family, a=1.0, b=2.0, **VALID[family]))
@@ -843,6 +844,8 @@ def test_scoring_leaves_the_memoized_norms_as_they_were(family):
     assert memo and m.norms.keys() == memo.keys()
     for key, value in memo.items():
         assert np.array_equal(m.norms[key], value), key
+        with np.errstate(all="ignore"):
+            assert np.array_equal(spec.norm(m, inequalities._Norm(*key)), value), key
     for x, y in zip(first[:3], second[:3]):
         assert x.tobytes() == y.tobytes()
     assert first[3:] == second[3:] == ([None] * len(u), first[4])
