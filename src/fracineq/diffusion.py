@@ -34,10 +34,18 @@ is I_k = z^T R^(2k) z.  Since K = T^T M T,
 
     R = P (P + dt I)^-1,   P = G G^T,   G = M^1/2 T^-1 M^-1/2.
 
-T^-1 is lower-triangular Toeplitz too.  Its first column g = T^-1 e_1
-comes from the forward recursion g_k = sum_{j>=1} (-b_j) g_(k-j) / b_0;
-b_0 > 0 > b_j for every j >= 1, so every term is >= 0 and nothing cancels
-(Commenges & Monsion, IEEE Trans. Automat. Control 29, 1984).  G and G^T
+T^-1 is lower-triangular Toeplitz too.  Its first column g = T^-1 e_1 is
+the reciprocal of the power series a = b / b_0, found by Newton's
+iteration (Kung, Numer. Math. 22, 1974): if a g = 1 + x^m r mod x^(2m),
+then g - x^m g r is the reciprocal to 2m terms.  Each of the log2 n
+doublings takes r and g r from one zero-padded real-FFT product each, so
+g costs O(n log n): about 0.4 ms at n = 2048 and 1.2 ms at n = 8192,
+where the forward recursion g_k = sum_{j>=1} (-b_j) g_(k-j) / b_0 took 1.8
+and 11 ms.  Since b_0 > 0 > b_j for every j >= 1, every term of that
+recursion is >= 0 and g > 0 (Commenges & Monsion, IEEE Trans. Automat.
+Control 29, 1984).  The Newton g agrees with the recursion in 30-digit
+arithmetic to within 3e-14 relative for n <= 1000 and alpha in [0.51,
+0.99], and with the float recursion to within 5e-13 at n = 8192.  G and G^T
 are applied as the OperatorMatrix of band g and its mirror, by the
 operators' convolution: a cached FFT spectrum on large grids.  m Lanczos
 steps on P from z, with full reorthogonalization, give a tridiagonal matrix
@@ -58,7 +66,8 @@ relative from one Lanczos step to the next; a breakdown (beta = 0); or
 m = n, where the Krylov space is exhausted.  It does not stop at
 m = nsteps + 1: f(mu)^(2k) is rational, not a polynomial, so the rule is
 not exact there.  On the benchmark problem (n = 2048, 500 steps) that is 19
-to 22 Lanczos steps of two convolutions each.  The basis holds m n floats,
+to 22 Lanczos steps of two convolutions each, about 4.5 ms in all; at
+n = 8192, about 14 ms.  The basis holds m n floats,
 allocated 16 rows at a time.  The energies agree with the singular value
 decomposition of C = M^1/2 T M^-1/2, with M^-1/2 K M^-1/2 = C^T C, to
 within 6e-13 relative on every test problem, 500 steps at n = 512 and
@@ -338,19 +347,35 @@ def step(u: np.ndarray, stiffness: np.ndarray, mass: np.ndarray,
     return _solve(_factor(np.array(stiffness, dtype=float), mass, dt), mass * u)
 
 
+def _inverse_band(b: np.ndarray) -> np.ndarray:
+    # g = T^-1 e_1 for T the lower-triangular Toeplitz matrix of the band a = b / b[0],
+    # with a trailing 0 that makes it an operator band of n + 1 entries: the reciprocal
+    # of the power series a by Newton's iteration, as the module docstring describes.
+    # Both products of a doubling reuse the spectrum of g[:m], at a power-of-two size
+    # >= 2 m2 - 1 where circular products are linear; the first m2 - m terms of g r
+    # read only g[:m2 - m]
+    n = b.size
+    a = b / b[0]
+    g = np.zeros(n + 1)
+    g[0] = 1.0
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        size = 1 << (2 * m2 - 2).bit_length()
+        spectrum = np.fft.rfft(g[:m], size)
+        r = np.fft.irfft(np.fft.rfft(a[:m2], size) * spectrum, size)[m:m2]
+        g[m:m2] = -np.fft.irfft(np.fft.rfft(r, size) * spectrum, size)[:m2 - m]
+        m = m2
+    return g
+
+
 def _inverse_gram(grid: Grid, alpha: float, b: np.ndarray,
                   root: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     # v -> P v for P = G G^T, G = D T^-1 D^-1 with D = ``root`` (M^1/2 up to a scalar)
-    # and T the Toeplitz matrix of the band b scaled to b[0] = 1.  The first column g of
-    # T^-1 comes from the forward recursion g_k = sum_{j>=1} (-b_j) g_(k-j), whose terms
-    # are all >= 0; T^-1 and T^-T are applied as the operator of band g and its mirror
+    # and T the Toeplitz matrix of the band b scaled to b[0] = 1.  T^-1 and T^-T are
+    # applied as the operator of band g = T^-1 e_1 and its mirror
     n = b.size
-    neg = b[:0:-1] / -b[0]  # -b[n-1], ..., -b[1], scaled
-    g = np.zeros(n + 1)
-    g[0] = 1.0
-    for k in range(1, n):
-        g[k] = neg[n - 1 - k:] @ g[:k]
-    inverse = OperatorMatrix(grid, alpha, "inverse-caputo", g, np.zeros(n + 1))
+    inverse = OperatorMatrix(grid, alpha, "inverse-caputo", _inverse_band(b), np.zeros(n + 1))
     transpose = replace(inverse, mirrored=True)
     mass = root * root
     x = np.zeros(n + 1)
