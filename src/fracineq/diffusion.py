@@ -39,13 +39,13 @@ the reciprocal of the power series a = b / b_0, found by Newton's
 iteration (Kung, Numer. Math. 22, 1974): if a g = 1 + x^m r mod x^(2m),
 then g - x^m g r is the reciprocal to 2m terms.  Each of the log2 n
 doublings takes r and g r from one zero-padded real-FFT product each, so
-g costs O(n log n): about 0.4 ms at n = 2048 and 1.2 ms at n = 8192,
-where the forward recursion g_k = sum_{j>=1} (-b_j) g_(k-j) / b_0 took 1.8
-and 11 ms.  Since b_0 > 0 > b_j for every j >= 1, every term of that
-recursion is >= 0 and g > 0 (Commenges & Monsion, IEEE Trans. Automat.
-Control 29, 1984).  The Newton g agrees with the recursion in 30-digit
-arithmetic to within 3e-14 relative for n <= 1000 and alpha in [0.51,
-0.99], and with the float recursion to within 5e-13 at n = 8192.  G and G^T
+g costs O(n log n): about 0.4 ms at n = 2048 and 1.2 ms at n = 8192.
+Since b_0 > 0 > b_j for every j >= 1, every term of the forward recursion
+g_k = sum_{j>=1} (-b_j) g_(k-j) / b_0 is >= 0 and g > 0 (Commenges &
+Monsion, IEEE Trans. Automat. Control 29, 1984).  The Newton g agrees with
+that recursion in 30-digit arithmetic to within 3e-14 relative for
+n <= 1000 and alpha in [0.51, 0.99], and with it in floating point to
+within 5e-13 at n = 8192.  G and G^T
 are applied as the OperatorMatrix of band g and its mirror, by the
 operators' convolution: a cached FFT spectrum on large grids.  m Lanczos
 steps on P from z, with full reorthogonalization, give a tridiagonal matrix

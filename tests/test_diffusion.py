@@ -274,8 +274,57 @@ def _svd_energies(problem):
                            for chunk in np.array_split(steps, 1 + steps.size // 4096)])
 
 
-@pytest.mark.parametrize("n", [129, 1024, 2048])
-@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.95])
+def _band(n, alpha):
+    return operator_matrix(uniform_grid(0.0, 1.0, n), alpha, "caputo").band[:n]
+
+
+def _recursion(b):
+    # g = T^-1 e_1 by the forward recursion g_k = sum_{j>=1} (-b_j / b_0) g_(k-j),
+    # whose terms are all >= 0
+    n = b.size
+    neg = b[:0:-1] / -b[0]
+    g = np.zeros(n)
+    g[0] = 1.0
+    for k in range(1, n):
+        g[k] = neg[n - 1 - k:] @ g[:k]
+    return g
+
+
+def _recursion_mp(b):
+    # the forward recursion in 30-digit arithmetic from the float band
+    with mpmath.workdps(30):
+        a = [mpmath.mpf(float(x)) / mpmath.mpf(float(b[0])) for x in b]
+        g = [mpmath.mpf(1)]
+        for k in range(1, b.size):
+            g.append(-mpmath.fsum(a[j] * g[k - j] for j in range(1, k + 1)))
+        return np.array([float(x) for x in g])
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 129, 257])
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.99])
+def test_inverse_band_matches_the_recursion_in_mpmath(alpha, n):
+    # the odd sizes end on a partial doubling
+    b = _band(n, alpha)
+    g = diffusion._inverse_band(b)
+    expect = _recursion_mp(b)
+    assert g.size == n + 1 and g[n] == 0.0
+    assert np.all(g[:n] > 0.0)
+    assert np.max(np.abs(g[:n] - expect) / expect) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1000, 2047, 2048, 2049, 8192])
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.99])
+def test_inverse_band_matches_the_float_recursion(alpha, n):
+    b = _band(n, alpha)
+    g = diffusion._inverse_band(b)[:n]
+    expect = _recursion(b)
+    assert np.all(g > 0.0)
+    assert np.max(np.abs(g - expect) / expect) <= 1e-12
+
+
+@pytest.mark.parametrize(("alpha", "n"), [
+    (alpha, n) for alpha in (0.6, 0.75, 0.95) for n in (129, 1024, 2048)
+] + [(alpha, n) for alpha in (0.51, 0.99) for n in (129, 1024)])
 def test_run_below_order_one_matches_cho_solve(alpha, n):
     # the Gauss rule of the Lanczos run against the exact implicit Euler energies
     # of the float band; cho_solve steps over a K assembled by plain sums read
