@@ -2,18 +2,18 @@
 """Probing how tight the inequality constants are.
 
 The search looks for polynomial coefficients maximizing the certificate
-ratio lhs/rhs.  All cases below are p = 2 quotient families, for which any
-positive budget solves the quotient over the polynomial basis directly.
-Gagliardo-Nirenberg at p = q = 2 is solved the same way, an L^theta left
-side with theta != 2 by Boyd's iteration, a local optimum, and the CKN and
-uncertainty products at p = q = 2 by a sequence of quotients.  Other
-families run a derivative-free compass search, which stops at convergence:
-the budget is only a cap, and the seed has no effect.  For the sup-norm
-bound at order 1 with p = 2 the linear function attains equality in the
-continuum: budget 0 reports it with ratio 1, and a positive budget prints
-the discrete optimum, 1.0000001 at n = 256, inside the certificate's
-tolerance.  For genuinely fractional orders the best ratio over the basis
-is a lower bound on the constant's tightness.
+ratio lhs/rhs over the polynomial basis.  Every case is solved, not
+sampled: the budget only says whether to solve (0 reports u = t - a, any
+positive budget runs the solve), and the seed has no effect.  All cases
+below are p = 2 quotient families, for which the solve is exact: a
+singular-value problem of the basis size.  An L^theta left side or an
+L^p right-hand norm with p != 2 is solved by power steps from that
+solution, to a local optimum, and the products of Gagliardo-Nirenberg, CKN
+and uncertainty by a sequence of such quotients.  For the sup-norm bound at order 1 with p = 2 the linear function
+attains equality in the continuum: budget 0 reports it with ratio 1, and a
+positive budget prints the discrete optimum, 1.0000001 at n = 256, inside
+the certificate's tolerance.  For genuinely fractional orders the best
+ratio over the basis is a lower bound on the constant's tightness.
 """
 
 import numpy as np

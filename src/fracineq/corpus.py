@@ -26,10 +26,10 @@ __all__ = ["CorpusSpec", "generate", "sharpness_search", "SharpnessResult",
 #: dense matrix, (MAX_DENSE_N + 1)^2 floats or 537 MB
 MAX_CORPUS_SAMPLES = (MAX_DENSE_N + 1) ** 2
 
-#: a sharpness trial replaces the best function only when its ratio exceeds
-#: the best ratio by this relative margin.  The ratio is invariant under
-#: u -> lambda u, so a trial that only rescales the best function ties with
-#: it, and rounding must not decide the tie.
+#: the solve of a sharpness search replaces the initial iterate only when its
+#: ratio exceeds the initial ratio by this relative margin.  The ratio is
+#: invariant under u -> lambda u, so a result that only rescales the initial
+#: iterate ties with it, and rounding must not decide the tie.
 IMPROVEMENT_MARGIN = 1e-12
 
 
@@ -138,46 +138,88 @@ def _candidate(grid: Grid, coeffs: np.ndarray) -> GridFn:
     return _random_polynomial(grid, coeffs, name="sharpness-candidate")
 
 
-def _first_gain(sides: BasisSides, trials: np.ndarray,
-                best_ratio: float) -> tuple[int, float] | None:
-    # the first trial that improves on the best by the margin, or None; a
-    # trial that fails a check before it raises that check's error
-    ratios, error = sides.ratios(trials)
-    gains = np.flatnonzero(ratios > best_ratio * (1.0 + IMPROVEMENT_MARGIN))
-    if gains.size:
-        return int(gains[0]), float(ratios[gains[0]])
+def _ratio(sides: BasisSides, coeffs: np.ndarray) -> float:
+    # the ratio of one row of coefficients; a row that fails a check raises that check's error
+    ratios, error = sides.ratios(coeffs[None, :])
     if error is not None:
         raise error
-    return None
+    return float(ratios[0])
 
 
-#: the most steps of Boyd's iteration and of the minorize-maximize loop; 9 reach the
-#: optimum of the benchmark's theta = 1.5 case, and at most 8 those of its products
+#: the most power steps, minorize-maximize steps or Newton steps of one solve; 9 power
+#: steps reach the benchmark's theta = 1.5 optimum, and at most 8 steps its products'
 _BOYD_STEPS = 500
 
 
-def _exact(left: np.ndarray, left_w: np.ndarray | None, theta: float | None,
-           right: np.ndarray, right_w: np.ndarray) -> np.ndarray | None:
-    """The best coefficients over the basis of ``BasisSides.quotient()``, or None.
+def _squares(x: np.ndarray, forms: list) -> tuple:
+    # the sum of the squared norms |x @ zr|_p over the forms (zr, p), with half its gradient
+    # and Hessian: with r = x @ zr, S = sum |r|^p, G = zr |r|^(p-1) sign(r) and M = zr
+    # diag(|r|^(p-2)) zr^T, the sums of S^(2/p), S^(2/p-1) G and (p-1) S^(2/p-1) M + (2-p)
+    # S^(2/p-2) G G^T
+    value, grad, hess = 0.0, 0.0, 0.0
+    for zr, p in forms:
+        r = x @ zr
+        a = np.abs(r)
+        s = np.sum(a**p)
+        g = zr @ (a ** (p - 1.0) * np.sign(r))
+        value += s ** (2.0 / p)
+        grad = grad + s ** (2.0 / p - 1.0) * g
+        hess = hess + ((p - 1.0) * s ** (2.0 / p - 1.0) * (zr * a ** (p - 2.0)) @ zr.T
+                       + (2.0 - p) * s ** (2.0 / p - 2.0) * np.outer(g, g))
+    return value, grad, hess
 
-    The rhs norm of coefficients c is |B^T c|, with B the right map scaled by
-    the root of its node weights.  With B = U S V^T over the directions whose
-    singular value exceeds (degree + 1) eps max(S), c = U S^-1 y has rhs |y|,
-    and the lhs is a norm of y^T Z with the whitened left map Z = S^-1 U^T
-    left, its columns scaled by their node weights to the power 1/theta.
-    Over |y| = 1 the largest sup norm is the longest column of Z, the dual
-    norm of one node's values, and the largest L^2 norm the top singular
-    value of Z (Golub & Van Loan, Matrix Computations, 8.7).  For theta != 2,
-    Boyd's power iteration for mixed norms (Boyd, Linear Algebra Appl. 9,
-    1974; Higham, Numer. Math. 62, 1992), y <- Z (|Z^T y|^(theta - 1)
-    sign(Z^T y)) over its length, climbs from that singular vector: the
-    L^theta norm is convex, so no step lowers it.  It stops when a step
-    raises |Z^T y|^theta by less than a relative 1e-15, or after _BOYD_STEPS
+
+def _newton(g: np.ndarray, x: np.ndarray, forms: list) -> np.ndarray:
+    # the least of _squares on the hyperplane <g, x'> = <g, x>, by Newton steps in its
+    # null space from x, each halved until the sum falls, until the Newton decrement
+    # is below a relative 1e-15
+    null = np.linalg.svd(g[None, :])[2][1:]
+    value, grad, hess = _squares(x, forms)
+    for _ in range(_BOYD_STEPS):
+        reduced = null @ hess @ null.T
+        if not np.isfinite(reduced).all():
+            break
+        step = null.T @ np.linalg.lstsq(reduced, -(null @ grad), rcond=None)[0]
+        if not -(grad @ step) > 1e-15 * value:
+            break
+        for t in 0.5 ** np.arange(40):
+            trial = _squares(x + t * step, forms)
+            if trial[0] < value:
+                break
+        else:
+            break
+        x, (value, grad, hess) = x + t * step, trial
+    return x
+
+
+def _exact(left: np.ndarray, left_w: np.ndarray | None, theta: float | None,
+           forms: tuple) -> np.ndarray | None:
+    """The best coefficients over the basis of a quotient, or None.
+
+    The left side is max |c @ left|, or its L^theta norm with node weights
+    ``left_w``.  The right side H is the root of the sum of the squares of
+    the norms ``forms``, triples (right, right_w, p) of p-th power sum
+    right_w |c @ right|^p.  B, the right maps side by side scaled by the root
+    of their node weights, is whitened by its SVD B = U S V^T over the
+    directions whose singular value exceeds (degree + 1) eps max(S): c =
+    U S^-1 y has |B^T c| = |y|, and the left side is a norm of y^T Z with Z
+    = S^-1 U^T left, its columns scaled by their node weights to the power
+    1/theta.  Over |y| = 1 the largest sup norm is the longest column of Z
+    and the largest L^2 norm the top singular value of Z (Golub & Van Loan,
+    Matrix Computations, 8.7): the optimum for L^2 norms on both sides, and
+    the start otherwise.  From there power steps y <- argmax <g, x> / H(x),
+    with g a subgradient of the convex left side at y, never lower the ratio
+    (Boyd, Linear Algebra Appl. 9, 1974; Hein & Buehler, NIPS 2010).  For L^2
+    norms on the right the step is Boyd's closed form g = Z (|Z^T y|^(theta
+    - 1) sign(Z^T y)); otherwise it is a damped Newton solve for the least H
+    on <g, x> = <g, y>, with g the column of the peak node for a sup left
+    side.  The steps stop when one raises the ratio (|Z^T y|^theta for L^2
+    norms on the right) by less than a relative 1e-15, or after _BOYD_STEPS
     steps, at a local optimum.  Returns c scaled to max |c_k| = 1, or None
     for a zero right map or a value out of float range.
     """
     with np.errstate(all="ignore"):  # a value out of float range returns None below
-        b = right * np.sqrt(right_w)
+        b = np.hstack([right * np.sqrt(right_w) for right, right_w, _ in forms])
         scaled = left if left_w is None else left * left_w ** (1.0 / theta)
         if not (np.isfinite(b).all() and np.isfinite(scaled).all()):
             return None
@@ -193,14 +235,25 @@ def _exact(left: np.ndarray, left_w: np.ndarray | None, theta: float | None,
             y = z[:, np.argmax(np.einsum("ij,ij->j", z, z))]
         else:
             y = np.linalg.svd(np.linalg.qr(z.T, mode="r").T)[0][:, 0]
+        l2 = all(p == 2.0 for _, _, p in forms)
+        # each whitened right map with its weights, less the nodes where every row
+        # vanishes, at which |r|^(p - 2) is infinite for p < 2
+        rights = [(zr[:, (zr != 0.0).any(axis=0)], p) for zr, p in
+                  ((whiten.T @ (right * right_w ** (1.0 / p)), p) for right, right_w, p in forms)]
         best, top = y, -math.inf
-        for _ in range(0 if theta in (None, 2.0) else _BOYD_STEPS):
+        for _ in range(0 if l2 and theta in (None, 2.0) else _BOYD_STEPS):
             zy = y @ z
-            value = np.sum(np.abs(zy) ** theta)
+            size = np.abs(zy)
+            value = (np.sum(size**theta) if l2 else
+                     (size.max() if theta is None else np.sum(size**theta) ** (1.0 / theta))
+                     / math.sqrt(_squares(y, rights)[0]))
             if not value > top * (1.0 + 1e-15):
                 break
             best, top = y, value
-            y = z @ (np.abs(zy) ** (theta - 1.0) * np.sign(zy))
+            j = np.argmax(size)
+            g = (z[:, j] * np.sign(zy[j]) if theta is None
+                 else z @ (size ** (theta - 1.0) * np.sign(zy)))
+            y = g if l2 else _newton(g, y, rights)
             y = y / np.linalg.norm(y)
         c = whiten @ best
     if not np.isfinite(c).all():
@@ -208,69 +261,41 @@ def _exact(left: np.ndarray, left_w: np.ndarray | None, theta: float | None,
     return c / c[np.argmax(np.abs(c))]
 
 
-def _product(left: np.ndarray, left_w: np.ndarray, rights: tuple,
-             start: np.ndarray) -> np.ndarray | None:
+def _product(left: np.ndarray, left_w: np.ndarray | None, theta: float | None,
+             rights: tuple, start: np.ndarray) -> np.ndarray | None:
     """The best coefficients over the basis of a product in ``BasisSides.quotient()``.
 
-    With A = sum left_w (c @ left)^2 and B and C the squares of the two
-    right norms, with powers delta and 1 - delta, the ratio is a fixed power
-    of A / (B^delta C^(1 - delta)).  By weighted AM-GM, B^delta C^(1 - delta)
-    is the least over s > 0 of delta s B + (1 - delta) s^(-delta/(1 - delta)) C,
-    attained at s = (C/B)^(1 - delta).  So each step sets s from the current
-    coefficients and takes the exact optimum of the L^2 quotient with that
-    sum on the right (:func:`_exact`): a minorize-maximize step (Hunter &
-    Lange, Am. Stat. 58, 2004), which cannot lower A / (B^delta C^(1 - delta)).
-    From ``start`` the loop stops when a step raises it by less than a
-    relative 1e-15, when _exact has no optimum, or after _BOYD_STEPS steps.
-    Returns the best coefficients so far, or None if not even ``start`` has
-    a value.
+    With A the squared left norm and B and C the squares of the right norms,
+    of powers delta and 1 - delta, the ratio is a fixed power of A / (B^delta
+    C^(1 - delta)).  By weighted AM-GM, B^delta C^(1 - delta) is the least
+    over s > 0 of delta s B + (1 - delta) s^(-delta/(1 - delta)) C, attained
+    at s = (C/B)^(1 - delta).  So each step sets s from the current
+    coefficients and solves the quotient with that sum on the right
+    (:func:`_exact`, each norm's weights scaled to carry its factor): a
+    minorize-maximize step (Hunter & Lange, Am. Stat. 58, 2004).  From
+    ``start`` the loop stops when a step raises A / (B^delta C^(1 - delta))
+    by less than a relative 1e-15, when _exact has no optimum, or after
+    _BOYD_STEPS steps.  Returns the best coefficients so far, or None if not
+    even ``start`` has a value.
     """
-    (dv, w_b, delta), (v, w_c, _) = rights
-    right = np.hstack([dv, v])
+    (dv, w_b, p_b, delta), (v, w_c, p_c, _) = rights
     best, top, c = None, -math.inf, start
     for _ in range(_BOYD_STEPS):
         with np.errstate(all="ignore"):  # a zero or overflowing form ends the loop
-            a, b, cc = (w @ (c @ m) ** 2 for m, w in ((left, left_w), (dv, w_b), (v, w_c)))
+            a, b, cc = (np.max(np.abs(c @ m)) ** 2 if p is None else (w @ np.abs(c @ m) ** p)
+                        ** (2.0 / p) for m, w, p in ((left, left_w, theta), (dv, w_b, p_b),
+                                                     (v, w_c, p_c)))
             value = a / (b**delta * cc ** (1.0 - delta))
             if not value > top * (1.0 + 1e-15):
                 break
             best, top = c, value
             s = (cc / b) ** (1.0 - delta)
-            c = _exact(left, left_w, 2.0, right, np.concatenate(
-                [delta * s * w_b, (1.0 - delta) * s ** (-delta / (1.0 - delta)) * w_c]))
+            mu_b, mu_c = delta * s, (1.0 - delta) * s ** (-delta / (1.0 - delta))
+            c = _exact(left, left_w, theta, ((dv, mu_b ** (p_b / 2.0) * w_b, p_b),
+                                             (v, mu_c ** (p_c / 2.0) * w_c, p_c)))
         if c is None:
             break
     return best
-
-
-def _compass(sides: BasisSides, best_coeffs: np.ndarray, best_ratio: float,
-             budget: int) -> np.ndarray:
-    # the compass rounds of sharpness_search from the given best; returns the best coefficients
-    degree = best_coeffs.size - 1
-    # the coordinate moves of one round, in proposal order
-    axes = np.repeat(np.arange(degree + 1), 2)
-    signs = np.tile([1.0, -1.0], degree + 1)
-    evals = 0
-    step = 0.5
-    while evals < budget and step >= 1e-3:
-        improved = False
-        move = 0
-        while move < axes.size and evals < budget:
-            rows = np.arange(move, min(axes.size, move + budget - evals))
-            trials = np.repeat(best_coeffs[None, :], rows.size, axis=0)
-            trials[np.arange(rows.size), axes[rows]] += signs[rows] * step
-            gain = _first_gain(sides, trials, best_ratio)
-            if gain is None:
-                evals += rows.size
-                break
-            hit, best_ratio = gain
-            evals += hit + 1
-            move += hit + 1
-            best_coeffs = trials[hit]
-            improved = True
-        if not improved:
-            step *= 0.5
-    return best_coeffs
 
 
 def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
@@ -278,39 +303,20 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
     """Search polynomial coefficient space for the largest certificate ratio.
 
     The candidates are functions (t - a) * q(t) with q of the given degree,
-    and the initial iterate is q = 1.  ``budget`` may not be negative; at 0
-    the initial iterate is the result.  ``seed`` must be >= 0 and has no
-    effect: no proposal is random.
+    and the initial iterate is q = 1.  ``budget`` may not be negative; 0
+    keeps the initial iterate, and any positive budget runs the solve.
+    ``seed`` must be >= 0 and has no effect: nothing is random.
 
-    Where :meth:`BasisSides.quotient` reduces the sides to weighted L^2
-    norms on the right (a factor of power 0 dropped, a copy of the left norm
-    cancelled), a positive budget solves the search over the degree + 1
-    basis directly.  One right norm is one quotient (:func:`_exact`): a
-    singular-value problem of that size, exact for an L^2 or sup norm on the
-    left, and Boyd's iteration, a local optimum, for an L^theta norm with
-    theta != 2.  Two right norms are solved as a sequence of such quotients
-    from the initial iterate, a minorize-maximize loop (:func:`_product`)
-    that no step lowers.  The result replaces the initial iterate when its ratio
-    exceeds the initial ratio by the relative margin IMPROVEMENT_MARGIN; a
-    zero right map or a basis value out of float range has no optimum and
-    keeps it.
-
-    Every other case runs a derivative-free compass search with shrinking
-    steps.  A round tries +step and -step on each coefficient in turn from
-    the best coefficients so far; a trial replaces them only when its ratio
-    exceeds theirs by IMPROVEMENT_MARGIN.  A round without a gain halves the
-    step, and the search ends when the step falls below 1e-3 or when
-    ``budget`` trials after the initial iterate are spent, whichever comes
-    first.  The proposal sequence is deterministic, so the best ratio is
-    monotone in the budget.
-
-    The search compares ratios on the grid alone.  Each candidate is linear
-    in its coefficients, so a :class:`BasisSides` over the degree + 1
-    monomials scores the rest of a round as one block, keeping the trials up
-    to the first gain.  The returned certificate is :func:`evaluate_sides`
-    of the best coefficients, with its Richardson pass.  The basis holds
-    (degree + 1) (grid_n + 1) floats per array, so that count is limited to
-    the samples of the largest grid, MAX_N + 1.
+    The solve works over the degree + 1 basis (:class:`BasisSides`), on the
+    sides as :meth:`BasisSides.quotient` reduces them: one right norm is one
+    quotient (:func:`_exact`), two a minorize-maximize loop of quotients
+    from the initial iterate (:func:`_product`).  Its result replaces the
+    initial iterate when its grid ratio exceeds the initial one by the
+    relative margin IMPROVEMENT_MARGIN; a constant ratio, a zero right map or
+    a basis value out of float range keeps it.  The returned certificate is
+    :func:`evaluate_sides` of the best coefficients, with its Richardson
+    pass.  The basis holds (degree + 1) (grid_n + 1) floats per array, so
+    that count is limited to the samples of the largest grid, MAX_N + 1.
     """
     case = validate_case(case)
     grid = Grid(case.a, case.b, grid_n)
@@ -323,16 +329,13 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
             f"(got degree={degree}, n={grid.n})"
         )
     sides = BasisSides(case, [_candidate(grid, e) for e in np.eye(degree + 1)])
-    best_coeffs = np.zeros(degree + 1)
-    best_coeffs[0] = 1.0
-    best_ratio = _first_gain(sides, best_coeffs[None, :], -math.inf)[1]  # any ratio beats -inf
+    best_coeffs = np.eye(degree + 1)[0]
+    best_ratio = _ratio(sides, best_coeffs)
     forms = sides.quotient() if budget else None
-    if forms is None:
-        best_coeffs = _compass(sides, best_coeffs, best_ratio, budget)
-    else:
+    if forms is not None:
         left, left_w, theta, rights = forms
-        exact = (_exact(left, left_w, theta, *rights[0][:2]) if len(rights) == 1
-                 else _product(left, left_w, rights, best_coeffs))
-        if exact is not None and _first_gain(sides, exact[None, :], best_ratio) is not None:
+        exact = (_exact(left, left_w, theta, (rights[0][:3],)) if len(rights) == 1
+                 else _product(left, left_w, theta, rights, best_coeffs))
+        if exact is not None and _ratio(sides, exact) > best_ratio * (1.0 + IMPROVEMENT_MARGIN):
             best_coeffs = exact
     return SharpnessResult(evaluate_sides(case, _candidate(grid, best_coeffs)), best_coeffs)

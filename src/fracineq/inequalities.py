@@ -667,31 +667,29 @@ class BasisSides:
         return ratio[:bad], (errors + [None])[bad]
 
     def quotient(self) -> tuple | None:
-        """The sides as a quotient of weighted L^2 forms, or None.
+        """The sides as a left norm over a product of weighted norms, or None.
 
         The ratio is left^power over a constant times the product of the
         factors to their powers (``_Spec.terms``).  A factor of power 0 is
         left out, and a factor that is the left norm (the same map, exponent
         and weight) cancels, which divides the other powers by the left power
         less its own.  Then the ratio is an increasing function of left / prod
-        factor_k^delta_k, with powers delta_k that sum to 1, when at least one
-        factor remains, the divisor is positive and every remaining factor is
-        an L^2 norm, as is the left norm beside two factors or more; otherwise
-        the result is None.  Returns (left, left_w, theta, rights): the basis
-        rows of the left map, the weight of each node in the left norm to its
-        power, the left exponent theta (None for a sup norm), and a (right,
-        right_w, delta_k) triple per factor.  Each weight is the trapezoid
-        weight times the power weight, so coefficients c give factor_k^2 = sum
-        right_w (c @ right)^2, and left = max |c @ left| or left^theta = sum
-        left_w |c @ left|^theta.
+        factor_k^delta_k, with powers delta_k that sum to 1; the result is
+        None if no factor remains (the ratio is constant) or the divisor is not
+        positive.  Returns (left, left_w, theta, rights): the basis rows of the
+        left map, the weight of each node in the left norm to its power, the
+        left exponent theta (None for a sup norm), and a (right, right_w, p_k,
+        delta_k) tuple per factor.  Each weight is the trapezoid weight times
+        the power weight, so coefficients c give factor_k^p_k = sum right_w
+        |c @ right|^p_k, and left = max |c @ left| or left^theta = sum left_w
+        |c @ left|^theta.
         """
         spec, m = self._spec, self._maps
         left, *factors = spec.terms(self.case)
         factors = [term for term in factors if term.power != 0.0]
         rest = [term for term in factors if term[:3] != left[:3]]
         divisor = left.power - sum(term.power for term in factors if term[:3] == left[:3])
-        if (not rest or not divisor > 0.0 or any(term.p != 2.0 for term in rest)
-                or (len(rest) > 1 and left.p != 2.0)):
+        if not rest or not divisor > 0.0:
             return None
 
         def form(term):
@@ -701,7 +699,7 @@ class BasisSides:
 
         left_map, left_w = form(left)
         return (left_map, None if left.p is None else left_w, left.p,
-                tuple(form(term) + (term.power / divisor,) for term in rest))
+                tuple(form(term) + (term.p, term.power / divisor) for term in rest))
 
 
 #: the most samples a sweep block holds per array, those of the largest grid

@@ -358,39 +358,27 @@ def _sharpness_hashes(n: int, budget: int) -> dict[str, str]:
 @pytest.mark.parametrize("n", [64, 129])
 def test_sharpness_payloads_match_pinned_hashes(n):
     # every search path byte for byte: the direct solve, Boyd's iteration, the
-    # minorize-maximize loop and the compass; odd n = 129 scores interpolated
-    # coarse copies
+    # Newton power steps of an L^4 norm (sobolev-beta) and the minorize-maximize
+    # loop; odd n = 129 scores interpolated coarse copies
     pin = json.loads((FIXTURES / "sharpness_sha256.json").read_text())
     assert _sharpness_hashes(n, pin["budget"]) == pin["sha256"][str(n)]
 
 
-def former_direct_rule(case: InequalityCase) -> bool:
-    # the per-family rule of the direct sharpness solve before it read the sides'
-    # norm table: every family at p = 2, gagliardo-nirenberg only at q = gamma = 2
-    # with s > 0, and ckn only at q = r = 2
-    family = case.family.value.removeprefix("hadamard-").removeprefix("seq-")
-    if case.p != 2.0:
-        return False
-    if family == "gagliardo-nirenberg":
-        return case.q == case.gamma == 2.0 and case.s > 0.0
-    return case.q == case.r == 2.0 if family == "ckn" else True
-
-
-def test_direct_solve_set_matches_the_former_rule():
-    # over the lattice the norm table gives the direct solve to the same cases,
-    # but for ckn at delta = 0: there c = e cancels, the ratio is constant, and
-    # the search keeps the initial iterate either way
+def test_every_lattice_case_with_a_varying_ratio_has_a_quotient():
+    # the norm table gives every lattice case a quotient, but for ckn at delta = 0
+    # and gagliardo-nirenberg at s = 0: there the one factor of nonzero power is
+    # the left norm and cancels, the ratio is constant, and the search keeps the
+    # initial iterate
     grid = uniform_grid(1.0, 2.0, 16)
     basis = [GridFn(grid, (grid.nodes - 1.0) ** (k + 1)) for k in range(2)]
     for family, cases in _lattices(1.0, 2.0).items():
         for case in cases:
-            direct = BasisSides(case, basis).quotient() is not None
-            if family.value.endswith("ckn") and case.delta == 0.0:
-                assert former_direct_rule(case) and not direct
+            constant_ratio = (family.value.endswith("ckn") and case.delta == 0.0
+                              or family.value.endswith("nirenberg") and case.s == 0.0)
+            assert (BasisSides(case, basis).quotient() is None) == constant_ratio, case
+            if constant_ratio:
                 result = sharpness_search(case, budget=1000, grid_n=16)
                 assert np.array_equal(result.coefficients, np.eye(5)[0])
-            else:
-                assert direct == former_direct_rule(case), case
 
 
 # -- criterion 5: sharpness probe -----------------------------------------------

@@ -51,13 +51,15 @@ def test_import_loads_no_scipy():
 
 
 def test_sharpness_search_loads_no_scipy():
-    # the four paths of the search: the direct solve of a quotient (hardy and
+    # the paths of the search: singular values for L^2 right norms (hardy and
     # Gagliardo-Nirenberg at p = q = 2), Boyd's iteration for an L^1.5 left side,
-    # the minorize-maximize loop of a product (ckn at p = q = 2), and the compass
-    # rounds of ckn at q = 3
+    # Newton power steps for a sup left side over an L^4 right side (sobolev-beta),
+    # and the minorize-maximize loop of a product over L^2 norms (ckn at p = q = 2)
+    # and over an L^3 norm (ckn at q = 3)
     cases = ["Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0",
              "Family.GAGLIARDO_NIRENBERG, a=1.0, b=2.0, alpha=0.75, p=2.0, q=2.0, s=0.5",
              "Family.POINCARE_SOBOLEV_LQ, a=1.0, b=2.0, alpha=0.6, p=2.0, theta=1.5",
+             "Family.SOBOLEV_BETA, a=1.0, b=2.0, alpha=0.85, beta=0.0, p=4.0",
              "Family.CKN, a=1.0, b=2.0, alpha=0.9, p=2.0, q=2.0, delta=0.5, d=0.8, e=0.3",
              "Family.CKN, a=1.0, b=2.0, alpha=0.9, p=2.0, q=3.0, delta=0.5, d=0.8, e=0.3"]
     code = "import sys; from fracineq import Family, InequalityCase, sharpness_search" + "".join(
