@@ -60,9 +60,8 @@ class CorpusSpec:
                           count=int(count), seed=int(seed))
 
     @staticmethod
-    def expressions(grid: Grid, texts, vanish_at_a: bool = True) -> "CorpusSpec":
-        return CorpusSpec("expressions", grid, vanish_at_a,
-                          texts=tuple(str(t) for t in texts))
+    def expressions(grid: Grid, texts) -> "CorpusSpec":
+        return CorpusSpec("expressions", grid, texts=tuple(str(t) for t in texts))
 
 
 def _power_fn(grid: Grid, mu: float) -> GridFn:
@@ -136,14 +135,6 @@ class SharpnessResult:
 
 def _candidate(grid: Grid, coeffs: np.ndarray) -> GridFn:
     return _random_polynomial(grid, coeffs, name="sharpness-candidate")
-
-
-def _ratio(sides: BasisSides, coeffs: np.ndarray) -> float:
-    # the ratio of one row of coefficients; a row that fails a check raises that check's error
-    ratios, error = sides.ratios(coeffs[None, :])
-    if error is not None:
-        raise error
-    return float(ratios[0])
 
 
 #: the most power steps, minorize-maximize steps or Newton steps of one solve; 9 power
@@ -330,12 +321,12 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
         )
     sides = BasisSides(case, [_candidate(grid, e) for e in np.eye(degree + 1)])
     best_coeffs = np.eye(degree + 1)[0]
-    best_ratio = _ratio(sides, best_coeffs)
+    best_ratio = sides.ratio(best_coeffs)
     forms = sides.quotient() if budget else None
     if forms is not None:
         left, left_w, theta, rights = forms
         exact = (_exact(left, left_w, theta, (rights[0][:3],)) if len(rights) == 1
                  else _product(left, left_w, theta, rights, best_coeffs))
-        if exact is not None and _ratio(sides, exact) > best_ratio * (1.0 + IMPROVEMENT_MARGIN):
+        if exact is not None and sides.ratio(exact) > best_ratio * (1.0 + IMPROVEMENT_MARGIN):
             best_coeffs = exact
     return SharpnessResult(evaluate_sides(case, _candidate(grid, best_coeffs)), best_coeffs)

@@ -34,23 +34,12 @@ is I_k = z^T R^(2k) z.  Since K = T^T M T,
 
     R = P (P + dt I)^-1,   P = G G^T,   G = M^1/2 T^-1 M^-1/2.
 
-T^-1 is lower-triangular Toeplitz too.  Its first column g = T^-1 e_1 is
-the reciprocal of the power series a = b / b_0, found by Newton's
-iteration (Kung, Numer. Math. 22, 1974): if a g = 1 + x^m r mod x^(2m),
-then g - x^m g r is the reciprocal to 2m terms.  Each of the log2 n
-doublings takes r and g r from one zero-padded real-FFT product each, so
-g costs O(n log n): about 0.4 ms at n = 2048 and 1.2 ms at n = 8192.
-Since b_0 > 0 > b_j for every j >= 1, every term of the forward recursion
-g_k = sum_{j>=1} (-b_j) g_(k-j) / b_0 is >= 0 and g > 0 (Commenges &
-Monsion, IEEE Trans. Automat. Control 29, 1984).  The Newton g agrees with
-that recursion in 30-digit arithmetic to within 3e-14 relative for
-n <= 1000 and alpha in [0.51, 0.99], and with it in floating point to
-within 5e-13 at n = 8192.  G and G^T
-are applied as the OperatorMatrix of band g and its mirror, by the
-operators' convolution: a cached FFT spectrum on large grids.  m Lanczos
-steps on P from z, with full reorthogonalization, give a tridiagonal matrix
-with eigenvalues mu_i and first eigenvector components s_i, and the m-point
-Gauss rule
+T^-1 is lower-triangular Toeplitz too.  G and G^T are applied through the
+"inverse-caputo" operator, whose band is the first column of (T / b_0)^-1
+(see fracineq.operators), and its mirror, by the operators' convolution: a
+cached FFT spectrum on large grids.  m Lanczos steps on P from z, with
+full reorthogonalization, give a tridiagonal matrix with eigenvalues mu_i
+and first eigenvector components s_i, and the m-point Gauss rule
 
     I_k = ||z||^2 sum_i w_i exp(-2k log1p(dt / mu_i)),   w_i = s_i^2,
 
@@ -91,7 +80,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, SolveError
 from .grids import Grid, GridFn, check_dense, trapezoid_weights
-from .operators import OperatorMatrix, operator_matrix
+from .operators import operator_matrix
 from .special import gamma_fn
 
 __all__ = [
@@ -347,35 +336,13 @@ def step(u: np.ndarray, stiffness: np.ndarray, mass: np.ndarray,
     return _solve(_factor(np.array(stiffness, dtype=float), mass, dt), mass * u)
 
 
-def _inverse_band(b: np.ndarray) -> np.ndarray:
-    # g = T^-1 e_1 for T the lower-triangular Toeplitz matrix of the band a = b / b[0],
-    # with a trailing 0 that makes it an operator band of n + 1 entries: the reciprocal
-    # of the power series a by Newton's iteration, as the module docstring describes.
-    # Both products of a doubling reuse the spectrum of g[:m], at a power-of-two size
-    # >= 2 m2 - 1 where circular products are linear; the first m2 - m terms of g r
-    # read only g[:m2 - m]
-    n = b.size
-    a = b / b[0]
-    g = np.zeros(n + 1)
-    g[0] = 1.0
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        size = 1 << (2 * m2 - 2).bit_length()
-        spectrum = np.fft.rfft(g[:m], size)
-        r = np.fft.irfft(np.fft.rfft(a[:m2], size) * spectrum, size)[m:m2]
-        g[m:m2] = -np.fft.irfft(np.fft.rfft(r, size) * spectrum, size)[:m2 - m]
-        m = m2
-    return g
-
-
-def _inverse_gram(grid: Grid, alpha: float, b: np.ndarray,
+def _inverse_gram(grid: Grid, alpha: float,
                   root: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     # v -> P v for P = G G^T, G = D T^-1 D^-1 with D = ``root`` (M^1/2 up to a scalar)
-    # and T the Toeplitz matrix of the band b scaled to b[0] = 1.  T^-1 and T^-T are
-    # applied as the operator of band g = T^-1 e_1 and its mirror
-    n = b.size
-    inverse = OperatorMatrix(grid, alpha, "inverse-caputo", _inverse_band(b), np.zeros(n + 1))
+    # and T the Toeplitz matrix of the caputo band scaled to b[0] = 1.  T^-1 and T^-T
+    # are applied as the inverse-caputo operator and its mirror
+    n = grid.n
+    inverse = operator_matrix(grid, alpha, "inverse-caputo")
     transpose = replace(inverse, mirrored=True)
     mass = root * root
     x = np.zeros(n + 1)
@@ -458,7 +425,7 @@ def _energies_below_one(grid: Grid, alpha: float, mass: np.ndarray, u0: np.ndarr
     rmax = float(root.max())
     root /= rmax
     b0 = float(b[0])
-    _gauss_energies(_inverse_gram(grid, alpha, b, root), dt * b0 * b0,
+    _gauss_energies(_inverse_gram(grid, alpha, root), dt * b0 * b0,
                     root * (u0 / umax), energy)
     tail = energy[1:]
     np.sqrt(tail, out=tail)

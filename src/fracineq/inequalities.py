@@ -658,13 +658,17 @@ class BasisSides:
         self.case, self.constant, self._spec = case, _constant(spec, case), spec
         self._maps = spec.maps(case, grid, v)
 
-    def ratios(self, coeffs: np.ndarray) -> tuple[np.ndarray, FracineqError | None]:
-        """Every row scored: the ratios before the first failing row, and that row's error."""
-        m = self._maps.combine(np.asarray(coeffs, dtype=float))
-        _, _, ratio, errors, _ = _score(self._spec, self.case, m.v[:, 0], lambda: m,
-                                        self.constant)
-        bad = next((i for i, error in enumerate(errors) if error is not None), len(errors))
-        return ratio[:bad], (errors + [None])[bad]
+    def ratio(self, coeffs: np.ndarray) -> float:
+        """The ratio of the combination with coefficients ``coeffs``.
+
+        Raises the error that evaluate_sides raises for that function.
+        """
+        m = self._maps.combine(np.asarray(coeffs, dtype=float)[None, :])
+        _, _, ratio, [error], _ = _score(self._spec, self.case, m.v[:, 0], lambda: m,
+                                         self.constant)
+        if error is not None:
+            raise error
+        return float(ratio[0])
 
     def quotient(self) -> tuple | None:
         """The sides as a left norm over a product of weighted norms, or None.

@@ -212,14 +212,14 @@ def test_block_search_matches_per_function_search(case, grid_n):
 
 
 def count_trials(monkeypatch) -> list:
-    # the number of rows that each BasisSides.ratios call scores
-    calls, ratios = [], BasisSides.ratios
+    # one entry per row that BasisSides.ratio scores
+    calls, ratio = [], BasisSides.ratio
 
     def counted(self, coeffs):
-        calls.append(len(coeffs))
-        return ratios(self, coeffs)
+        calls.append(1)
+        return ratio(self, coeffs)
 
-    monkeypatch.setattr(BasisSides, "ratios", counted)
+    monkeypatch.setattr(BasisSides, "ratio", counted)
     return calls
 
 
@@ -422,7 +422,7 @@ def nelder_mead_optimum(case, grid_n, degree=4, starts=3):
     sides = basis_sides(case, degree, grid_n)
 
     def negative(coeffs):
-        return -sides.ratios(coeffs[None, :])[0][0]
+        return -sides.ratio(coeffs)
 
     rng = np.random.default_rng(0)
     best = -math.inf
@@ -514,36 +514,37 @@ def test_exact_optimum_of_degenerate_forms_is_none():
     assert exact(left * 1e300, None, None, np.eye(3, 10) * 1e-300, 4.0) is None
 
 
-def test_block_ratios_are_the_fine_grid_ratios():
+def test_ratio_is_the_fine_grid_ratio():
     grid = uniform_grid(1.0, 2.0, 64)
     basis = [corpus._candidate(grid, e) for e in np.eye(3)]
     coeffs = np.array([[1.0, 0.5, -0.25], [0.3, -2.0, 1.0], [0.0, 0.0, 1.0]])
     for case in SEARCH_CASES[:-1]:
-        ratios, error = BasisSides(case, basis).ratios(coeffs)
-        assert error is None and ratios.shape == (3,)
-        for row, ratio in zip(coeffs, ratios):
+        sides = BasisSides(case, basis)
+        for row in coeffs:
             cert = evaluate_sides(case, corpus._candidate(grid, row), disc_tol=0.0)
-            assert ratio == pytest.approx(cert.ratio, rel=1e-12, abs=0.0), case.family
+            assert sides.ratio(row) == pytest.approx(cert.ratio, rel=1e-12, abs=0.0), case.family
 
 
-def test_block_rows_are_checked_in_order():
+def test_ratio_raises_the_error_of_evaluate_sides():
     grid = uniform_grid(1.0, 2.0, 16)
     case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
     ramp = corpus._candidate(grid, [1.0])
     one = GridFn(grid, np.ones(17), name="one")
     sides = BasisSides(case, [ramp, one])
-    ratios, error = sides.ratios([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, 3.0]])
-    assert ratios.shape == (2,)
+    cert = evaluate_sides(case, ramp, disc_tol=0.0)
+    assert sides.ratio([1.0, 0.0]) == pytest.approx(cert.ratio, rel=1e-12, abs=0.0)
     with pytest.raises(HypothesisError) as expected:
-        evaluate_sides(case, one)  # |u(a)| = 1, where the last row has 3
-    assert type(error) is HypothesisError and str(error) == str(expected.value)
-    # a non-finite side before any other failure: the NumericError of evaluate_sides
+        evaluate_sides(case, one)  # |u(a)| = 1
+    with pytest.raises(HypothesisError) as error:
+        sides.ratio([0.0, 1.0])
+    assert error.type is HypothesisError and str(error.value) == str(expected.value)
+    # a non-finite side: the NumericError of evaluate_sides
     huge = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=1e300)
-    ratios, error = BasisSides(huge, [ramp]).ratios([[1.0]])
-    assert ratios.shape == (0,)
     with pytest.raises(NumericError) as expected:
         evaluate_sides(huge, ramp)
-    assert type(error) is NumericError and str(error) == str(expected.value)
+    with pytest.raises(NumericError) as error:
+        BasisSides(huge, [ramp]).ratio([1.0])
+    assert error.type is NumericError and str(error.value) == str(expected.value)
 
 
 def test_sharpness_basis_size_is_limited_before_allocation():

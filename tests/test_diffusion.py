@@ -30,7 +30,7 @@ from fracineq import (
     step,
     uniform_grid,
 )
-from fracineq import diffusion
+from fracineq import diffusion, operators
 from fracineq.diffusion import MAX_STEPS
 from fracineq.grids import MAX_DENSE_N
 
@@ -305,7 +305,7 @@ def _recursion_mp(b):
 def test_inverse_band_matches_the_recursion_in_mpmath(alpha, n):
     # the odd sizes end on a partial doubling
     b = _band(n, alpha)
-    g = diffusion._inverse_band(b)
+    g = operators._inverse_band(b)
     expect = _recursion_mp(b)
     assert g.size == n + 1 and g[n] == 0.0
     assert np.all(g[:n] > 0.0)
@@ -316,7 +316,7 @@ def test_inverse_band_matches_the_recursion_in_mpmath(alpha, n):
 @pytest.mark.parametrize("alpha", [0.51, 0.75, 0.99])
 def test_inverse_band_matches_the_float_recursion(alpha, n):
     b = _band(n, alpha)
-    g = diffusion._inverse_band(b)[:n]
+    g = operators._inverse_band(b)[:n]
     expect = _recursion(b)
     assert np.all(g > 0.0)
     assert np.max(np.abs(g - expect) / expect) <= 1e-12

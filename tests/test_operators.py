@@ -170,6 +170,22 @@ def test_caputo_alpha_to_one_consistency():
     assert np.max(np.abs(near.samples[1:] - at_one.samples[1:])) < 1e-3
 
 
+@pytest.mark.parametrize("n", [129, 1024])  # direct convolution, FFT
+def test_inverse_caputo_inverts_the_caputo_operator(n):
+    grid = uniform_grid(0.0, 1.0, n)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            operator_matrix(grid, alpha, "inverse-caputo")
+    x = np.random.default_rng(n).standard_normal(n + 1)
+    x[0] = 0.0
+    for alpha in (0.3, 0.51, 0.75, 0.99):
+        caputo = operator_matrix(grid, alpha, "caputo")
+        inverse = operator_matrix(grid, alpha, "inverse-caputo")
+        assert not inverse.col0.any()
+        y = inverse.apply(caputo.apply(x))[1:] / caputo.band[0]
+        assert np.max(np.abs(y - x[1:])) <= 1e-12 * np.max(np.abs(x))
+
+
 # --- riemann-liouville derivative -------------------------------------------
 
 def test_rl_equals_caputo_bit_exactly_on_vanishing_data():
@@ -454,7 +470,7 @@ def cache_budget(monkeypatch):
 
 
 def test_operator_cache_is_bounded_by_bytes(cache_budget):
-    # unbounded, the six kinds at n = 2^20 hold about 136 MB
+    # unbounded, the six kinds at n = 2^20 hold 192 MiB, 32 MiB each
     cache = cache_budget(48 * 2**20)
     grid = uniform_grid(1.0, 2.0, 2**20)
     log_companion_grid(grid)
@@ -470,18 +486,28 @@ def test_operator_cache_is_bounded_by_bytes(cache_budget):
     assert current <= cache.max_bytes + largest
 
 
-def test_operator_cache_counts_shared_arrays_once(cache_budget):
+def test_operator_cache_counts_each_entrys_own_bytes(cache_budget, monkeypatch):
     cache = cache_budget(256 * 2**20)
-    grid = uniform_grid(0.0, 1.0, 1024)
+    grid = uniform_grid(1.0, 2.0, 1024)
+
+    def reentered(*args):
+        raise AssertionError(f"a build re-entered the operator cache for {args}")
+
+    # every kind is built from its own parts, never from another cached operator
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_cached_build", reentered)
+        for kind in OPERATOR_KINDS + ("inverse-caputo",):
+            for alpha in (0.5, 1.0):
+                if alpha == 1.0 and kind in ("hadamard-derivative", "inverse-caputo"):
+                    continue
+                m = operators._build(grid, alpha, kind)
+                assert (m.order, m.kind) == (alpha, kind)
     for alpha in (1.0, 0.5):
         cache.cache_clear()
-        caputo = operator_matrix(grid, alpha, "caputo")
-        for kind in ("rl-derivative", "right-rl-derivative"):
-            operator_matrix(grid, alpha, kind)
-        # the rl kinds reuse caputo's dense matrix, or its band and spectrum
-        extra = 0 if alpha == 1.0 else operator_matrix(grid, alpha, "rl-derivative").col0.nbytes
-        assert cache.nbytes == _op_bytes(caputo) + extra
-    assert operator_matrix(grid, 0.5, "caputo") is caputo
+        held = [operator_matrix(grid, alpha, kind)
+                for kind in ("caputo", "rl-derivative", "right-rl-derivative")]
+        assert list(cache._entries.values()) == held
+        assert cache.nbytes == sum(_op_bytes(m) for m in held)
 
 
 def test_operator_larger_than_the_budget_is_not_cached(cache_budget):
@@ -525,8 +551,8 @@ def test_operator_cache_accounting_holds_under_threads(cache_budget):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
-    held = {id(a): a.nbytes for m in cache._entries.values() for a in operators._arrays(m)}
-    assert cache.nbytes == sum(held.values()) <= cache.max_bytes
+    held = [_op_bytes(m) for m in cache._entries.values()]
+    assert cache.nbytes == sum(held) <= cache.max_bytes
 
 
 # --- one evaluation path per kind -------------------------------------------
