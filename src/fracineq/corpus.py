@@ -68,12 +68,16 @@ def _power_fn(grid: Grid, mu: float) -> GridFn:
     return GridFn(grid, (grid.nodes - grid.a) ** mu, name=f"pow:mu={mu:g}")
 
 
-def _random_polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn:
-    # q evaluated in the normalized variable keeps coefficients well scaled;
-    # the (t - a) factor makes samples[0] = 0 exact
+def _polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn | list[GridFn]:
+    # (t - a) q((t - a) / (b - a)), q's coefficients lowest first: the normalized variable
+    # keeps them well scaled and the factor makes samples[0] = 0 exact.  A (rows, degree + 1)
+    # array gives one function per row, named name:i, from one Horner pass
+    coeffs = np.asarray(coeffs, dtype=float)
     x = (grid.nodes - grid.a) / (grid.b - grid.a)
-    q = np.polynomial.polynomial.polyval(x, coeffs)
-    return GridFn(grid, (grid.nodes - grid.a) * q, name=name)
+    samples = (grid.nodes - grid.a) * np.polynomial.polynomial.polyval(x, coeffs.T)
+    if coeffs.ndim == 1:
+        return GridFn(grid, samples, name=name)
+    return [GridFn(grid, row, name=f"{name}:{i}") for i, row in enumerate(samples)]
 
 
 def _check_polynomial(grid: Grid, degree: int, seed: int, what: str) -> None:
@@ -104,13 +108,9 @@ def generate(spec: CorpusSpec) -> list[GridFn]:
                 f"polynomial corpus needs count * (n + 1) <= {MAX_CORPUS_SAMPLES} "
                 f"(got count={spec.count}, n={spec.grid.n})"
             )
-        rng = np.random.default_rng(spec.seed)
-        out = []
-        for i in range(spec.count):
-            coeffs = rng.uniform(-1.0, 1.0, spec.degree + 1)
-            out.append(_random_polynomial(spec.grid, coeffs,
-                                          name=f"poly:seed={spec.seed}:{i}"))
-        return out
+        coeffs = np.random.default_rng(spec.seed).uniform(-1.0, 1.0,
+                                                          (spec.count, spec.degree + 1))
+        return _polynomial(spec.grid, coeffs, f"poly:seed={spec.seed}")
     if spec.kind == "expressions":
         out = []
         for text in spec.texts:
@@ -131,10 +131,6 @@ class SharpnessResult:
         coeffs = np.array(self.coefficients, dtype=float)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-
-
-def _candidate(grid: Grid, coeffs: np.ndarray) -> GridFn:
-    return _random_polynomial(grid, coeffs, name="sharpness-candidate")
 
 
 #: the most power steps, minorize-maximize steps or Newton steps of one solve; 9 power
@@ -319,7 +315,7 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
             f"sharpness search needs (degree + 1)(n + 1) <= {MAX_N + 1} "
             f"(got degree={degree}, n={grid.n})"
         )
-    sides = BasisSides(case, [_candidate(grid, e) for e in np.eye(degree + 1)])
+    sides = BasisSides(case, _polynomial(grid, np.eye(degree + 1), "sharpness-basis"))
     best_coeffs = np.eye(degree + 1)[0]
     best_ratio = sides.ratio(best_coeffs)
     forms = sides.quotient() if budget else None
@@ -329,4 +325,5 @@ def sharpness_search(case: InequalityCase, budget: int, seed: int = 0,
                  else _product(left, left_w, theta, rights, best_coeffs))
         if exact is not None and sides.ratio(exact) > best_ratio * (1.0 + IMPROVEMENT_MARGIN):
             best_coeffs = exact
-    return SharpnessResult(evaluate_sides(case, _candidate(grid, best_coeffs)), best_coeffs)
+    candidate = _polynomial(grid, best_coeffs, "sharpness-candidate")
+    return SharpnessResult(evaluate_sides(case, candidate), best_coeffs)

@@ -267,18 +267,15 @@ def _rl_integral_parts(n: int, alpha: float, h: float) -> tuple[np.ndarray, np.n
     band = np.zeros(n + 1)
     band[0] = 1.0
     band[1:] = kp[2:n + 2] - 2.0 * kp[1:n + 1] + kp[0:n]
-    i = np.arange(n + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        col0 = (i - 1.0) ** (alpha + 1.0) - i**alpha * (i - alpha - 1.0)
-    col0[0] = 0.0
+    col0 = np.zeros(n + 1)
+    col0[1:] = kp[0:n] - k[1:n + 1] ** alpha * (k[1:n + 1] - alpha - 1.0)
     return scale * band, scale * col0
 
 
 def _l1_caputo_parts(n: int, alpha: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     # L1 scheme: per-cell difference quotients against exact kernel moments
     scale = _scale(h, -alpha, 2.0 - alpha)
-    k = np.arange(n + 1, dtype=float)
-    beta = k ** (1.0 - alpha) - np.maximum(k - 1.0, 0.0) ** (1.0 - alpha)
+    beta = np.diff(np.arange(n + 1, dtype=float) ** (1.0 - alpha), prepend=0.0)
     band = np.zeros(n + 1)
     band[0] = 1.0
     if n >= 2:

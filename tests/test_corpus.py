@@ -127,18 +127,23 @@ def test_polynomial_degree_and_seed_are_checked_before_allocation(degree, seed, 
 
 # --- the block search against the per-function search -------------------------
 
+def candidate(grid, coeffs):
+    # the function (t - a) q of the search's coefficients, as sharpness_search samples it
+    return corpus._polynomial(grid, coeffs, "sharpness-candidate")
+
+
 def reference_search(case, budget, degree=4, grid_n=256):
     # the compass rounds that the search ran before it solved every case, one
     # evaluate_sides per trial; with the trial count
     grid = uniform_grid(case.a, case.b, grid_n)
 
     def better(coeffs, best_ratio):
-        cert = evaluate_sides(case, corpus._candidate(grid, coeffs))
+        cert = evaluate_sides(case, candidate(grid, coeffs))
         return cert.ratio > best_ratio * (1.0 + IMPROVEMENT_MARGIN), cert.ratio
 
     best = np.zeros(degree + 1)
     best[0] = 1.0
-    best_ratio = evaluate_sides(case, corpus._candidate(grid, best)).ratio
+    best_ratio = evaluate_sides(case, candidate(grid, best)).ratio
     evals, step = 0, 0.5
     while evals < budget and step >= 1e-3:
         improved = False
@@ -154,7 +159,7 @@ def reference_search(case, budget, degree=4, grid_n=256):
                     best, best_ratio, improved = trial, ratio, True
         if not improved:
             step *= 0.5
-    return best, evaluate_sides(case, corpus._candidate(grid, best)), evals
+    return best, evaluate_sides(case, candidate(grid, best)), evals
 
 
 def _case(family, **params):
@@ -187,7 +192,7 @@ SEARCH_CASES = [
 
 def basis_sides(case, degree=4, grid_n=256):
     grid = uniform_grid(case.a, case.b, grid_n)
-    return BasisSides(case, [corpus._candidate(grid, e) for e in np.eye(degree + 1)])
+    return BasisSides(case, corpus._polynomial(grid, np.eye(degree + 1), "basis"))
 
 
 def right_exponents(case):
@@ -323,7 +328,7 @@ def reference_optimum(case, grid_n, degree=4):
     # a Gagliardo-Nirenberg ratio is its L^2 quotient to the power s
     assert case.theta in (None, 2.0), "an L^theta side with theta != 2 is no Gram form"
     grid = uniform_grid(case.a, case.b, grid_n)
-    basis = [corpus._candidate(grid, e) for e in np.eye(degree + 1)]
+    basis = corpus._polynomial(grid, np.eye(degree + 1), "basis")
     power = case.s or 1.0
     # at s = 1 the rhs of Gagliardo-Nirenberg is the L^2 norm of the derivative alone
     rhs = gram(replace(case, s=1.0) if case.s else case, basis, "rhs_norm_product")
@@ -364,7 +369,7 @@ def product_reference(case, grid_n, degree=4):
     # eigenvalue of A against that sum: found on a log scan of s, then refined
     case = validate_case(case)
     grid = uniform_grid(case.a, case.b, grid_n)
-    basis = [corpus._candidate(grid, e) for e in np.eye(degree + 1)]
+    basis = corpus._polynomial(grid, np.eye(degree + 1), "basis")
     hadamard = case.family.value.startswith("hadamard-")
     derivatives = [(hadamard_derivative if hadamard else caputo_derivative)(u, case.alpha)
                    for u in basis]
@@ -516,19 +521,19 @@ def test_exact_optimum_of_degenerate_forms_is_none():
 
 def test_ratio_is_the_fine_grid_ratio():
     grid = uniform_grid(1.0, 2.0, 64)
-    basis = [corpus._candidate(grid, e) for e in np.eye(3)]
+    basis = corpus._polynomial(grid, np.eye(3), "basis")
     coeffs = np.array([[1.0, 0.5, -0.25], [0.3, -2.0, 1.0], [0.0, 0.0, 1.0]])
     for case in SEARCH_CASES[:-1]:
         sides = BasisSides(case, basis)
         for row in coeffs:
-            cert = evaluate_sides(case, corpus._candidate(grid, row), disc_tol=0.0)
+            cert = evaluate_sides(case, candidate(grid, row), disc_tol=0.0)
             assert sides.ratio(row) == pytest.approx(cert.ratio, rel=1e-12, abs=0.0), case.family
 
 
 def test_ratio_raises_the_error_of_evaluate_sides():
     grid = uniform_grid(1.0, 2.0, 16)
     case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
-    ramp = corpus._candidate(grid, [1.0])
+    ramp = candidate(grid, [1.0])
     one = GridFn(grid, np.ones(17), name="one")
     sides = BasisSides(case, [ramp, one])
     cert = evaluate_sides(case, ramp, disc_tol=0.0)
@@ -577,7 +582,7 @@ def test_powers_need_finite_exponents(mu):
 def test_polynomial_count_is_limited_before_allocation(monkeypatch):
     grid = uniform_grid(1.0, 2.0, 16)
     limit = MAX_CORPUS_SAMPLES // 17
-    monkeypatch.setattr(corpus, "_random_polynomial", lambda *args, **kw: pytest.fail("drawn"))
+    monkeypatch.setattr(corpus, "_polynomial", lambda *args, **kw: pytest.fail("drawn"))
     tracemalloc.start()
     try:
         for count in (limit + 1, 10**8, 10**30):
