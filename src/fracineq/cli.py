@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import CorpusSpec, generate, sharpness_search
 from .diffusion import DiffusionProblem, run as run_diffusion
-from .errors import FracineqError, ParamError
+from .errors import FracineqError, NumericError, ParamError
 from .expressions import eval_expr, parse_expr
 from .grids import GridFn, uniform_grid
 from .inequalities import Family, InequalityCase, constant, sweep, validate_case
@@ -175,10 +175,17 @@ def _cmd_verify(args) -> tuple[list[dict], int]:
 
 
 def _apply_operator(args, ast, n: int) -> tuple[GridFn, GridFn]:
-    """The expression sampled on the n-interval grid, and the operator applied to it."""
+    """The expression sampled on the n-interval grid, and the operator applied to it.
+
+    Values out of float range raise NumericError, without numpy's warnings.
+    """
     grid = uniform_grid(args.a, args.b, n)
     u = GridFn(grid, eval_expr(ast, grid.nodes), name=args.expr)
-    return u, OPERATORS[args.operator](u, args.alpha)
+    with np.errstate(all="ignore"):
+        out = OPERATORS[args.operator](u, args.alpha)
+    if not np.isfinite(out.samples).all():
+        raise NumericError(f"{args.operator}: operator value overflows or is not a number")
+    return u, out
 
 
 def _cmd_op(args) -> tuple[list[dict], int]:
@@ -206,8 +213,9 @@ def _cmd_converge(args) -> tuple[list[dict], int]:
     outputs = [_apply_operator(args, ast, n)[1] for n in ladder]
     diffs = []
     for coarse, fine in zip(outputs, outputs[1:]):
-        interp = np.interp(coarse.grid.nodes, fine.grid.nodes, fine.samples)
-        diffs.append(float(np.max(np.abs(interp - coarse.samples))))
+        with np.errstate(all="ignore"):  # a difference out of float range fails to serialize
+            interp = np.interp(coarse.grid.nodes, fine.grid.nodes, fine.samples)
+            diffs.append(float(np.max(np.abs(interp - coarse.samples))))
     rows = []
     for idx, n in enumerate(ladder[:-1]):
         order = None

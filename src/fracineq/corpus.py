@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParamError, SizeError
+from .errors import DomainError, NumericError, ParamError, SizeError
 from .expressions import eval_expr, parse_expr
 from .grids import MAX_DENSE_N, MAX_N, Grid, GridFn
 from .inequalities import (BasisSides, Certificate, InequalityCase, evaluate_sides,
@@ -64,8 +64,17 @@ class CorpusSpec:
         return CorpusSpec("expressions", grid, texts=tuple(str(t) for t in texts))
 
 
+def _grid_fn(grid: Grid, samples: np.ndarray, name: str) -> GridFn:
+    # samples computed under np.errstate; one out of float range is refused by name
+    if not np.isfinite(samples).all():
+        raise NumericError(f"{name}: sample value overflows or is not a number")
+    return GridFn(grid, samples, name=name)
+
+
 def _power_fn(grid: Grid, mu: float) -> GridFn:
-    return GridFn(grid, (grid.nodes - grid.a) ** mu, name=f"pow:mu={mu:g}")
+    with np.errstate(all="ignore"):
+        samples = (grid.nodes - grid.a) ** mu
+    return _grid_fn(grid, samples, f"pow:mu={mu:g}")
 
 
 def _polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn | list[GridFn]:
@@ -74,10 +83,11 @@ def _polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn | list[Grid
     # array gives one function per row, named name:i, from one Horner pass
     coeffs = np.asarray(coeffs, dtype=float)
     x = (grid.nodes - grid.a) / (grid.b - grid.a)
-    samples = (grid.nodes - grid.a) * np.polynomial.polynomial.polyval(x, coeffs.T)
+    with np.errstate(all="ignore"):
+        samples = (grid.nodes - grid.a) * np.polynomial.polynomial.polyval(x, coeffs.T)
     if coeffs.ndim == 1:
-        return GridFn(grid, samples, name=name)
-    return [GridFn(grid, row, name=f"{name}:{i}") for i, row in enumerate(samples)]
+        return _grid_fn(grid, samples, name)
+    return [_grid_fn(grid, row, f"{name}:{i}") for i, row in enumerate(samples)]
 
 
 def _check_polynomial(grid: Grid, degree: int, seed: int, what: str) -> None:
@@ -91,7 +101,10 @@ def _check_polynomial(grid: Grid, degree: int, seed: int, what: str) -> None:
 
 
 def generate(spec: CorpusSpec) -> list[GridFn]:
-    """Materialize the corpus; deterministic for a fixed spec."""
+    """Materialize the corpus; deterministic for a fixed spec.
+
+    A sample out of float range raises NumericError naming its function.
+    """
     if spec.kind == "powers":
         if not all(math.isfinite(mu) for mu in spec.mus):
             raise ParamError(f"power corpus needs finite exponents (got {spec.mus})")

@@ -259,9 +259,10 @@ def _eval(node: ExprNode, t):
                 raise EvalError("division by zero")
             return lhs / rhs
         if node.op == "^":
+            # an overflow is left to eval_expr's finiteness check
             out = np.power(lhs, rhs)
-            if np.any(~np.isfinite(out)) and np.all(np.isfinite(lhs)) \
-                    and np.all(np.isfinite(rhs)):
+            if np.any(np.isnan(out) | ((lhs == 0.0) & (rhs < 0.0))) \
+                    and np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs)):
                 raise EvalError("power is undefined (negative base with "
                                 "fractional exponent, or 0 to a negative power)")
             return out

@@ -1,7 +1,7 @@
 """Bounded fuzz test of the command line: every argv ends in a contract exit code.
 
 Argvs for all five subcommands are drawn from a pool of awkward numbers (0,
-negatives, +-1e300, nan, inf) and arbitrary integers.  The work stays small:
+negatives, +-1e300, 1e308, nan, inf) and arbitrary integers.  The work stays small:
 grids have at most 64 subintervals unless they exceed MAX_N, which is refused
 before anything is allocated; budgets are at most 5, poly counts at most 3 and
 diffusion runs at most 100 steps unless T/dt exceeds MAX_STEPS.
@@ -20,9 +20,10 @@ from fracineq.inequalities import Family, InequalityCase
 from fracineq.operators import OPERATOR_KINDS
 
 NUMBERS = st.sampled_from(["0", "-1", "0.5", "0.75", "0.9", "1", "1.5", "2", "3", "1e-300",
-                           "1e300", "-1e300", "nan", "inf", "-inf"])
+                           "1e300", "-1e300", "1e308", "nan", "inf", "-inf"])
 EXPRESSIONS = st.sampled_from(["t", "t - 1", "(t - 1)^2", "sin(t)", "t^0.5", "1/t", "log(t)",
-                               "sqrt(t - 1)", "exp(1000*t)", "0*exp(1000*t)", "t^-1", "(t"])
+                               "sqrt(t - 1)", "exp(1000*t)", "0*exp(1000*t)", "t^-1", "t^200",
+                               "(t"])
 CASE_FLAGS = ["alpha", "beta", "p", "q", "r", "s", "delta", "gamma-w", "c", "d", "e", "theta"]
 assert len(CASE_FLAGS) == len(InequalityCase.__dataclass_fields__) - 3
 

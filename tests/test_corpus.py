@@ -51,6 +51,35 @@ def test_powers_vanish_requirement():
     generate(CorpusSpec.powers(grid, [0.0], vanish_at_a=False))
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec,name", [
+    (CorpusSpec.powers(uniform_grid(1.0, 11.0, 16), [2.0, 400.0]), "pow:mu=400"),
+    (CorpusSpec.powers(uniform_grid(1.0, 1e300, 2), [1.5]), "pow:mu=1.5"),
+    (CorpusSpec.powers(uniform_grid(0.0, 1.0, 16), [-1.0], vanish_at_a=False), "pow:mu=-1"),
+    (CorpusSpec.polynomials(uniform_grid(1.0, 1e308, 16), 3, 2, seed=0), "poly:seed=0:0"),
+])
+def test_non_finite_samples_are_refused_by_name(spec, name):
+    # without a numpy warning, as eval_expr refuses an expr: corpus
+    with pytest.raises(NumericError, match=re.escape(
+            f"{name}: sample value overflows or is not a number")):
+        generate(spec)
+
+
+def test_polynomial_rows_are_the_polynomials_of_each_row():
+    # one Horner pass over the rows gives each row's samples bit for bit
+    grid = uniform_grid(2.0, 5.0, 64)
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 5))
+    rows = corpus._polynomial(grid, coeffs, "q")
+    assert [u.name for u in rows] == ["q:0", "q:1", "q:2", "q:3"]
+    for u, c in zip(rows, coeffs):
+        single = corpus._polynomial(grid, c, "q")
+        assert single.name == "q" and u.samples.tobytes() == single.samples.tobytes()
+        x = (grid.nodes - 2.0) / 3.0
+        assert np.allclose(u.samples, (grid.nodes - 2.0) * sum(ck * x**k for k, ck in
+                                                                enumerate(c)), rtol=1e-14,
+                           atol=1e-14)
+
 def test_polynomials_deterministic():
     grid = uniform_grid(0.0, 1.0, 32)
     first = generate(CorpusSpec.polynomials(grid, 3, 5, seed=42))

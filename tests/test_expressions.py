@@ -92,6 +92,25 @@ def test_eval_non_finite_is_numeric_error(text):
         eval_expr(parse_expr(text), 1.0)
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text,t", [("t^200", 100.0), ("(-t)^201", 100.0), ("t^-2", 1e-200),
+                                    ("2^t", 2000.0)])
+def test_power_overflow_is_numeric_error(text, t):
+    # an overflow, as exp(1000*t) is, not an undefined power
+    with pytest.raises(NumericError, match="expression value overflows or is not a number"):
+        eval_expr(parse_expr(text), np.array([1.0, t]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text,t", [("(t-1)^0.5", 0.0), ("0^(t-1)", 0.0), ("t^-1", 0.0),
+                                    ("(-t)^0.5", 2.0), ("(t-2)^200.5", 100.0)])
+def test_undefined_power_stays_eval_error(text, t):
+    # a negative base with a fractional exponent, or 0 to a negative power, even where
+    # the same power overflows at another node
+    with pytest.raises(EvalError, match="power is undefined"):
+        eval_expr(parse_expr(text), np.array([t, 1.0]))
+
 def test_precedence():
     # ^ binds tighter than unary minus, which binds tighter than * and /
     assert eval_expr(parse_expr("-t^2"), 3.0) == -9.0

@@ -432,8 +432,7 @@ def test_cli_csv_on_json_only_command_is_usage_error(argv, monkeypatch, capsys):
     assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_converge_non_finite_is_numeric_error(capsys):
     # exp(1000) overflows: the same values that op and --out json refuse
     argv = ["converge", "--operator", "rl-integral", "--alpha", "0.5", "--expr", "exp(t)",
@@ -441,7 +440,8 @@ def test_cli_converge_non_finite_is_numeric_error(capsys):
     for out_format in ("csv", "json"):
         code, out = run_cli(argv + ["--out", out_format])
         assert code == 4 and out == "", out_format
-    assert "Traceback" not in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numeric error: expression value overflows or is not a number\n" * 2)
 
 
 def test_cli_operators_are_the_kinds():
@@ -480,8 +480,7 @@ def test_cli_oversized_grid_is_param_error(argv, capsys):
     assert peak < 32 * 2**20
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,expected", [
     # numpy's default_rng refuses a negative seed
     (["sharpness", "--family", "poincare-sobolev", "--alpha", "0.9", "--p", "2", "--a", "0",
@@ -550,6 +549,34 @@ HARDY_16 = ["verify", "--family", "hardy", "--alpha", "0.9", "--a", "1", "--b", 
     # the initial energy u0^T M u0 of u0 = t on a grid of h = 6.25e148
     (["diffuse", "--alpha", "0.75", "--a", "0", "--b", "1e150", "--n", "16", "--T", "1",
       "--dt", "0.5"], 4, "numeric error: initial energy overflows (h = 6.25e+148)"),
+    # corpus samples out of float range, refused by the function's name: 10^400 and
+    # (t - a) q with t - a near 1e308
+    (["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "11",
+      "--n", "16", "--corpus", "powers:400"], 4,
+     "numeric error: pow:mu=400: sample value overflows or is not a number"),
+    (["verify", "--family", "hardy", "--alpha", "0.9", "--p", "2", "--a", "1", "--b", "1e308",
+      "--n", "16", "--corpus", "poly:3,1,0"], 4,
+     "numeric error: poly:seed=0:0: sample value overflows or is not a number"),
+    (["verify", "--family=hadamard-hardy", "--a=1", "--b=1e300", "--n=2", "--alpha=0.9",
+      "--p=2", "--corpus=powers:1.5"], 4,
+     "numeric error: pow:mu=1.5: sample value overflows or is not a number"),
+    # a power that overflows is a numeric error, as exp does; an undefined one is refused
+    (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "t^200", "--a", "0", "--b",
+      "100", "--n", "16"], 4, "numeric error: expression value overflows or is not a number"),
+    (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "exp(10*t)", "--a", "0",
+      "--b", "100", "--n", "16"], 4,
+     "numeric error: expression value overflows or is not a number"),
+    (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "(t-1)^0.5", "--a", "0",
+      "--b", "2", "--n", "16"], 3, "error: power is undefined"),
+    (["op", "--operator", "caputo", "--alpha", "0.5", "--expr", "0^(t-1)", "--a", "0",
+      "--b", "2", "--n", "16"], 3, "error: power is undefined"),
+    # operator values out of float range, refused by the operator's name
+    (["converge", "--operator", "hadamard-integral", "--alpha", "0.5", "--expr", "t", "--a",
+      "1", "--b", "1e308", "--n", "16,32"], 4,
+     "numeric error: hadamard-integral: operator value overflows or is not a number"),
+    (["op", "--operator", "hadamard-integral", "--alpha", "0.5", "--expr", "t", "--a", "1",
+      "--b", "1e308", "--n", "16"], 4,
+     "numeric error: hadamard-integral: operator value overflows or is not a number"),
 ])
 def test_cli_refusals_exit_cleanly(argv, expected, message, capsys):
     # one line on stderr: no traceback, no numpy warning, no report
