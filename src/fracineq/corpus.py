@@ -80,13 +80,19 @@ def _power_fn(grid: Grid, mu: float) -> GridFn:
 def _polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn | list[GridFn]:
     # (t - a) q((t - a) / (b - a)), q's coefficients lowest first: the normalized variable
     # keeps them well scaled and the factor makes samples[0] = 0 exact.  A (rows, degree + 1)
-    # array gives one function per row, named name:i, from one Horner pass
+    # array gives one function per row, named name:i, from one Horner pass in place, so
+    # the pass holds one array of samples beside the functions it makes
     coeffs = np.asarray(coeffs, dtype=float)
+    rows = np.atleast_2d(coeffs)
     x = (grid.nodes - grid.a) / (grid.b - grid.a)
+    samples = np.zeros((len(rows), grid.n + 1))
     with np.errstate(all="ignore"):
-        samples = (grid.nodes - grid.a) * np.polynomial.polynomial.polyval(x, coeffs.T)
+        for c in rows.T[::-1]:
+            samples *= x
+            samples += c[:, None]
+        samples *= grid.nodes - grid.a
     if coeffs.ndim == 1:
-        return _grid_fn(grid, samples, name)
+        return _grid_fn(grid, samples[0], name)
     return [_grid_fn(grid, row, f"{name}:{i}") for i, row in enumerate(samples)]
 
 
