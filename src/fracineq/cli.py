@@ -234,8 +234,7 @@ def _cmd_diffuse(args) -> tuple[list[dict], int]:
     else:
         samples = eval_expr(parse_expr(args.u0), grid.nodes)
         name = args.u0
-        if abs(samples[0]) <= 1e-12:
-            samples = samples.copy()
+        if abs(samples[0]) <= 1e-12:  # eval_expr returns a new array
             samples[0] = 0.0
     problem = DiffusionProblem(grid, args.alpha, GridFn(grid, samples, name=name),
                                T=args.T, dt=args.dt)

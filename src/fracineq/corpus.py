@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParamError, SizeError
 from .expressions import eval_expr, parse_expr
-from .grids import MAX_DENSE_N, MAX_N, Grid, GridFn
+from .grids import MAX_DENSE_N, MAX_N, Grid, GridFn, _read_only
 from .inequalities import (BasisSides, Certificate, InequalityCase, evaluate_sides,
                            validate_case)
 
@@ -80,8 +80,8 @@ def _power_fn(grid: Grid, mu: float) -> GridFn:
 def _polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn | list[GridFn]:
     # (t - a) q((t - a) / (b - a)), q's coefficients lowest first: the normalized variable
     # keeps them well scaled and the factor makes samples[0] = 0 exact.  A (rows, degree + 1)
-    # array gives one function per row, named name:i, from one Horner pass in place, so
-    # the pass holds one array of samples beside the functions it makes
+    # array gives one function per row, named name:i, from one Horner pass in place; the
+    # functions share the frozen block, so the pass holds one array of samples
     coeffs = np.asarray(coeffs, dtype=float)
     rows = np.atleast_2d(coeffs)
     x = (grid.nodes - grid.a) / (grid.b - grid.a)
@@ -91,6 +91,7 @@ def _polynomial(grid: Grid, coeffs: np.ndarray, name: str) -> GridFn | list[Grid
             samples *= x
             samples += c[:, None]
         samples *= grid.nodes - grid.a
+    samples.setflags(write=False)
     if coeffs.ndim == 1:
         return _grid_fn(grid, samples[0], name)
     return [_grid_fn(grid, row, f"{name}:{i}") for i, row in enumerate(samples)]
@@ -115,13 +116,12 @@ def generate(spec: CorpusSpec) -> list[GridFn]:
         if not all(math.isfinite(mu) for mu in spec.mus):
             raise ParamError(f"power corpus needs finite exponents (got {spec.mus})")
         if spec.vanish_at_a and any(mu <= 0.0 for mu in spec.mus):
-            raise DomainError(
-                "power corpus with vanish_at_a requires mu > 0 "
-                f"(got {spec.mus})"
-            )
+            raise DomainError(f"power corpus with vanish_at_a requires mu > 0 (got {spec.mus})")
         return [_power_fn(spec.grid, mu) for mu in spec.mus]
     if spec.kind == "polynomials":
         _check_polynomial(spec.grid, spec.degree, spec.seed, "polynomial corpus")
+        if spec.count < 0:
+            raise ParamError(f"polynomial corpus needs count >= 0 (got {spec.count})")
         if spec.count * (spec.grid.n + 1) > MAX_CORPUS_SAMPLES:
             raise SizeError(
                 f"polynomial corpus needs count * (n + 1) <= {MAX_CORPUS_SAMPLES} "
@@ -131,11 +131,8 @@ def generate(spec: CorpusSpec) -> list[GridFn]:
                                                           (spec.count, spec.degree + 1))
         return _polynomial(spec.grid, coeffs, f"poly:seed={spec.seed}")
     if spec.kind == "expressions":
-        out = []
-        for text in spec.texts:
-            samples = eval_expr(parse_expr(text), spec.grid.nodes)
-            out.append(GridFn(spec.grid, samples, name=f"expr:{text}"))
-        return out
+        return [GridFn(spec.grid, eval_expr(parse_expr(t), spec.grid.nodes), name=f"expr:{t}")
+                for t in spec.texts]
     raise DomainError(f"unknown corpus kind {spec.kind!r}")
 
 
@@ -147,9 +144,7 @@ class SharpnessResult:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _read_only(self.coefficients))
 
 
 #: the most power steps, minorize-maximize steps or Newton steps of one solve; 9 power

@@ -79,7 +79,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericError, SolveError
-from .grids import Grid, GridFn, check_dense, trapezoid_weights
+from .grids import Grid, GridFn, _read_only, check_dense, trapezoid_weights
 from .operators import operator_matrix
 from .special import gamma_fn
 
@@ -119,8 +119,7 @@ class DiffusionProblem:
     dt: float
 
     def __post_init__(self):
-        if not 0.5 < self.alpha <= 1.0:
-            raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {self.alpha})")
+        _check_order(self.alpha)
         if self.u0.grid != self.grid:
             raise DomainError("u0 must be sampled on the problem grid")
         if not np.all(np.isfinite(self.u0.samples)):
@@ -151,8 +150,8 @@ class DiffusionProblem:
 class EnergyTrace:
     """Time series of the squared L^2 norm, with the decay-rate constant.
 
-    The constructor keeps read-only copies of ``times`` and ``energy``;
-    ``run`` hands over the arrays it built without a copy.
+    ``times`` and ``energy`` are kept when read-only over read-only memory,
+    as ``run`` hands them over, and copied otherwise.
     """
 
     times: np.ndarray
@@ -160,19 +159,20 @@ class EnergyTrace:
     lam: float
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        energy = np.array(self.energy, dtype=float)
-        if times.shape != energy.shape:
+        for name in ("times", "energy"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if self.times.shape != self.energy.shape:
             raise DomainError("times and energy must have equal length")
-        times.setflags(write=False)
-        energy.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "energy", energy)
 
     @property
     def bound(self) -> np.ndarray:
         """The a-priori bound I(0) exp(-2 lambda t) at each recorded time."""
         return self.energy[0] * np.exp(-2.0 * self.lam * self.times)
+
+
+def _check_order(alpha: float) -> None:
+    if not 0.5 < alpha <= 1.0:
+        raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {alpha})")
 
 
 def decay_rate(grid: Grid, alpha: float) -> float:
@@ -205,8 +205,7 @@ def assemble_stiffness(grid: Grid, alpha: float) -> np.ndarray:
     SolveError when an entry may not be finite, as on a grid so fine that
     the weights' products overflow.
     """
-    if not 0.5 < alpha <= 1.0:
-        raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {alpha})")
+    _check_order(alpha)
     check_dense(grid, "the diffusion stiffness")
     if alpha < 1.0:
         return _toeplitz_stiffness(grid.h, _band(grid, alpha))
@@ -329,8 +328,7 @@ def step(u: np.ndarray, stiffness: np.ndarray, mass: np.ndarray,
     bit for bit; below order 1 ``run`` takes the energies from a Gauss rule
     without K, and a loop of steps agrees with it to about 1e-12 relative.
     """
-    if not 0.5 < alpha <= 1.0:
-        raise DomainError(f"diffusion requires alpha in (1/2, 1] (got {alpha})")
+    _check_order(alpha)
     if dt <= 0.0:
         raise DomainError(f"requires dt > 0 (got {dt})")
     return _solve(_factor(np.array(stiffness, dtype=float), mass, dt), mass * u)
@@ -434,18 +432,6 @@ def _energies_below_one(grid: Grid, alpha: float, mass: np.ndarray, u0: np.ndarr
     np.square(tail, out=tail)
 
 
-def _trace(times: np.ndarray, energy: np.ndarray, lam: float) -> EnergyTrace:
-    # an EnergyTrace that takes over the arrays ``run`` built, without the copies the
-    # constructor makes of a caller's arrays
-    times.setflags(write=False)
-    energy.setflags(write=False)
-    trace = object.__new__(EnergyTrace)
-    object.__setattr__(trace, "times", times)
-    object.__setattr__(trace, "energy", energy)
-    object.__setattr__(trace, "lam", lam)
-    return trace
-
-
 def run(problem: DiffusionProblem) -> EnergyTrace:
     """I(t_k) = discrete squared L^2 norm of the implicit Euler iterates, t_k = k dt.
 
@@ -461,9 +447,10 @@ def run(problem: DiffusionProblem) -> EnergyTrace:
     grid = problem.grid
     mass = mass_diagonal(grid)
     nsteps = problem.nsteps
-    u = problem.u0.samples[1:].copy()
+    u = problem.u0.samples[1:]
     times = np.arange(nsteps + 1, dtype=float)
     times *= problem.dt
+    times.setflags(write=False)  # frozen arrays go to the trace without a copy
     energy = np.empty(nsteps + 1)
     with np.errstate(over="ignore"):  # an overflow is refused below
         energy[0] = float(u @ (mass * u))
@@ -476,7 +463,8 @@ def run(problem: DiffusionProblem) -> EnergyTrace:
             energy[j] = float(u @ (mass * u))
     else:
         _energies_below_one(grid, problem.alpha, mass, u, problem.dt, energy)
-    return _trace(times, energy, decay_rate(grid, problem.alpha))
+    energy.setflags(write=False)
+    return EnergyTrace(times, energy, decay_rate(grid, problem.alpha))
 
 
 @dataclass(frozen=True)

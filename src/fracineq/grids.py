@@ -1,9 +1,9 @@
 """Uniform grids on an interval, sampled functions, and trapezoid norms.
 
-Everything here is immutable after construction and safe to share between
-threads.  All quadrature is composite trapezoid on nodal values of the full
-integrand, which keeps the norms in the same second-order accuracy class as
-the operator discretizations.
+Everything here is immutable and safe to share between threads: arrays that
+nothing can write to are shared, others copied once.  All quadrature is
+composite trapezoid on nodal values of the full integrand, which keeps the
+norms in the same second-order accuracy class as the operator discretizations.
 """
 
 from __future__ import annotations
@@ -87,6 +87,17 @@ def check_dense(grid: Grid, what: str) -> None:
         )
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array: kept if nothing can write to it, else copied."""
+    base = getattr(values, "base", None)
+    if (type(values) is np.ndarray and values.dtype == float and not values.flags.writeable
+            and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable)):
+        return values
+    values = np.array(values, dtype=float)
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class GridFn:
     """Real-valued function sampled at the nodes of a grid."""
@@ -96,26 +107,29 @@ class GridFn:
     name: str = "u"
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
+        samples = _read_only(self.samples)
         if samples.shape != (self.grid.n + 1,):
             raise DomainError(
                 f"samples must have length {self.grid.n + 1} (got {samples.shape})"
             )
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+
+    def _like(self, samples: np.ndarray) -> "GridFn":
+        samples.setflags(write=False)  # built here, so handed over without a copy
+        return GridFn(self.grid, samples, name=self.name)
 
     def __add__(self, other: "GridFn") -> "GridFn":
         if other.grid != self.grid:
             raise DomainError("grid mismatch")
-        return GridFn(self.grid, self.samples + other.samples, name=self.name)
+        return self._like(self.samples + other.samples)
 
     def __sub__(self, other: "GridFn") -> "GridFn":
         if other.grid != self.grid:
             raise DomainError("grid mismatch")
-        return GridFn(self.grid, self.samples - other.samples, name=self.name)
+        return self._like(self.samples - other.samples)
 
     def __rmul__(self, c: float) -> "GridFn":
-        return GridFn(self.grid, float(c) * self.samples, name=self.name)
+        return self._like(float(c) * self.samples)
 
 
 @dataclass(frozen=True)

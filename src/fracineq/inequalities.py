@@ -649,6 +649,8 @@ class BasisSides:
 
     def __init__(self, case: InequalityCase, basis: list[GridFn]):
         case = validate_case(case)
+        if not basis:
+            raise DomainError("a basis needs at least one function")
         _check_interval(case, basis[0].grid)
         if any(u.grid != basis[0].grid for u in basis):
             raise DomainError("basis functions must share one grid")

@@ -384,13 +384,11 @@ class _OperatorCache:
 
     def __call__(self, grid: Grid, alpha: float, kind: str) -> OperatorMatrix:
         key = (grid, alpha, kind)
-        op = self._entries.get(key)
-        if op is not None:
-            try:
+        with self._lock:
+            op = self._entries.get(key)
+            if op is not None:
                 self._entries.move_to_end(key)
-            except KeyError:  # evicted by another thread since the lookup
-                pass
-            return op
+                return op
         op = self._build(grid, alpha, kind)
         if _nbytes(op) <= self.max_bytes:
             with self._lock:
@@ -445,6 +443,7 @@ def apply_operator(grid: Grid, samples: np.ndarray, alpha: float,
 
 def _evaluate(u: GridFn, alpha: float, kind: str) -> GridFn:
     grid, values = apply_operator(u.grid, u.samples, alpha, kind)
+    values.setflags(write=False)  # built here, so handed over without a copy
     return GridFn(grid, values, name=u.name)
 
 
@@ -477,7 +476,7 @@ def rl_derivative(u: GridFn, alpha: float) -> GridFn:
 
 def reflect(u: GridFn) -> GridFn:
     """Reverse the sample order; represents t -> a + b - t on the same grid."""
-    return GridFn(u.grid, u.samples[::-1].copy(), name=u.name)
+    return GridFn(u.grid, u.samples[::-1], name=u.name)
 
 
 def right_rl_derivative(u: GridFn, alpha: float) -> GridFn:
@@ -530,7 +529,9 @@ def to_log_grid(u: GridFn) -> GridFn:
 
     Sample j of the result is u evaluated at t = a exp(sigma_j).
     """
-    return GridFn(log_companion_grid(u.grid), _log_resample(u.grid, u.samples), name=u.name)
+    vals = _log_resample(u.grid, u.samples)
+    vals.setflags(write=False)
+    return GridFn(log_companion_grid(u.grid), vals, name=u.name)
 
 
 def from_log_grid(g: GridFn, grid: Grid) -> GridFn:
@@ -539,6 +540,7 @@ def from_log_grid(g: GridFn, grid: Grid) -> GridFn:
     vals = np.interp(tau_of_t, g.grid.nodes, g.samples)
     vals[0] = g.samples[0]
     vals[-1] = g.samples[-1]
+    vals.setflags(write=False)
     return GridFn(grid, vals, name=g.name)
 
 

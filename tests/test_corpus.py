@@ -581,6 +581,12 @@ def test_ratio_raises_the_error_of_evaluate_sides():
     assert error.type is NumericError and str(error.value) == str(expected.value)
 
 
+def test_empty_basis_is_refused():
+    case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
+    with pytest.raises(DomainError, match="a basis needs at least one function"):
+        BasisSides(case, [])
+
+
 def test_sharpness_basis_size_is_limited_before_allocation():
     case = InequalityCase(Family.HARDY, a=1.0, b=2.0, alpha=0.8, p=2.0)
     # (d + 1)(n + 1) = MAX_N + 1 is the limit: d = 63, n = 65535
@@ -606,6 +612,27 @@ def test_powers_need_finite_exponents(mu):
     for vanish in (True, False):
         with pytest.raises(ParamError, match="power corpus needs finite exponents"):
             generate(CorpusSpec.powers(grid, [1.0, mu], vanish_at_a=vanish))
+
+
+def test_negative_polynomial_count_is_refused():
+    grid = uniform_grid(0.0, 1.0, 16)
+    with pytest.raises(ParamError, match=re.escape(
+            "polynomial corpus needs count >= 0 (got -1)")):
+        generate(CorpusSpec.polynomials(grid, 3, -1, 0))
+    assert generate(CorpusSpec.polynomials(grid, 3, 0, 0)) == []
+
+
+def test_polynomial_corpus_peaks_at_its_own_size():
+    # the functions share the block of samples the Horner pass wrote, without a copy
+    grid = uniform_grid(0.0, 1.0, 1024)
+    tracemalloc.start()
+    try:
+        fns = generate(CorpusSpec.polynomials(grid, 3, 2000, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fns) == 2000 and not fns[0].samples.flags.writeable
+    assert peak <= 1.1 * 2000 * (grid.n + 1) * 8
 
 
 def test_polynomial_count_is_limited_before_allocation(monkeypatch):

@@ -396,6 +396,16 @@ def test_run_hands_over_its_arrays_without_a_copy():
     assert copied.times[0] == 0.0 and copied.energy[0] == trace.energy[0]
 
 
+def test_energy_trace_copies_a_callers_writeable_arrays():
+    times, energy = np.linspace(0.0, 1.0, 5), np.ones(5)
+    view = energy[:]
+    view.setflags(write=False)  # read-only, but its base is writeable
+    trace = EnergyTrace(times, view, lam=1.0)
+    times[0] = energy[0] = -1.0
+    assert trace.times[0] == 0.0 and trace.energy[0] == 1.0
+    assert not (trace.times.flags.writeable or trace.energy.flags.writeable)
+
+
 def _stepped_energies_mp(problem):
     # the implicit Euler recursion u_k = (M + dt T^T M T)^-1 M u_(k-1) in 30-digit
     # arithmetic, from the float band, mass, dt and u0

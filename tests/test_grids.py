@@ -78,6 +78,22 @@ def test_gridfn_length_check():
         GridFn(g, np.zeros(4))
 
 
+def test_gridfn_keeps_read_only_samples_and_copies_writeable_ones():
+    g = uniform_grid(0.0, 1.0, 4)
+    frozen = np.arange(5.0)
+    frozen.setflags(write=False)
+    assert GridFn(g, frozen).samples is frozen
+    # a caller's writeable array, or a read-only view of one, is copied once
+    owner = np.arange(5.0)
+    view = owner[:]
+    view.setflags(write=False)
+    for samples in (owner, view):
+        u = GridFn(g, samples)
+        owner[0] = -1.0
+        assert u.samples[0] == 0.0 and not u.samples.flags.writeable
+        owner[0] = 0.0
+
+
 def test_lp_norm_of_constant_is_exact():
     g = uniform_grid(0.0, 1.0, 16)
     u = GridFn(g, np.ones(17))

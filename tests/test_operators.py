@@ -451,6 +451,20 @@ def test_operator_memory_is_linear_in_n():
     assert peak < 256 * 2**20
 
 
+def test_reflect_copies_no_samples():
+    # the reversed view of read-only samples is kept, not copied
+    n = 2**16
+    u = GridFn(uniform_grid(0.0, 1.0, n), np.linspace(-1.0, 1.0, n + 1))
+    tracemalloc.start()
+    try:
+        v = reflect(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+    assert np.array_equal(v.samples, u.samples[::-1]) and not v.samples.flags.writeable
+
+
 def _op_bytes(m):
     return sum(a.nbytes for a in (m.band, m.col0, m.dense, m.spectrum) if a is not None)
 
